@@ -62,11 +62,11 @@ const REPLAY: usize = 40;
 /// `results/serve_drill.json`) so CI fails if the vectorized/CSR kernel
 /// path stops paying for itself.
 const P95_BUDGET_MS: f64 = 0.68;
-/// p95 budget (ms) for the socket phase. End-to-end TCP latency with 4
-/// concurrent clients is transport-dominated (~45 ms p50 on the CI
-/// host), so the kernel-win gate lives on the stdio budget above; this
-/// ceiling only catches gross serving regressions.
-const SOCKET_P95_BUDGET_MS: f64 = 150.0;
+/// The socket phase's client-observed p95 may be at most this multiple
+/// of the same run's stdio p95, plus [`SOCKET_P95_SLACK_MS`]: the TCP hop
+/// may cost a loopback round trip and some scheduling, not a timer.
+const SOCKET_P95_STDIO_FACTOR: f64 = 2.0;
+const SOCKET_P95_SLACK_MS: f64 = 0.5;
 
 fn drill_config() -> OodGnnConfig {
     OodGnnConfig {
@@ -720,13 +720,14 @@ fn socket_client(
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();
+    stream.set_nodelay(true).expect("set TCP_NODELAY");
     let mut writer = stream.try_clone().expect("clone stream");
     let mut reader = BufReader::new(stream);
     let mut out = Vec::with_capacity(work.len());
-    for (index, line) in work {
+    for (index, mut line) in work {
+        line.push('\n');
         let t0 = Instant::now();
         writer.write_all(line.as_bytes()).expect("write request");
-        writer.write_all(b"\n").expect("write newline");
         let mut resp = String::new();
         reader.read_line(&mut resp).expect("read response");
         let us = t0.elapsed().as_micros() as u64;
@@ -823,7 +824,7 @@ fn socket_drill() {
     // hold the latency/QPS budget, and the connection lifecycle counters
     // must come out exact.
     let server = Arc::new(start_server(&spec, &ck1, config.clone()));
-    let (stdio_digest, _, stdio_done, _) = replay(&server, &graphs);
+    let (stdio_digest, mut stdio_latencies, stdio_done, _) = replay(&server, &graphs);
     let t0 = Instant::now();
     let (sock_digest, mut latencies, sock_done) = socket_replay(&server, &graphs, CLIENTS);
     let wall = t0.elapsed().as_secs_f64();
@@ -855,19 +856,29 @@ fn socket_drill() {
         ),
     );
     latencies.sort_unstable();
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
+    stdio_latencies.sort_unstable();
+    let pct = |lat: &[u64], p: f64| -> f64 {
+        if lat.is_empty() {
             return f64::NAN;
         }
-        let idx = ((latencies.len() - 1) as f64 * p).round() as usize;
-        latencies[idx] as f64 / 1e3
+        let idx = ((lat.len() - 1) as f64 * p).round() as usize;
+        lat[idx] as f64 / 1e3
     };
-    let (p50, p95, p99) = (pct(0.50), pct(0.95), pct(0.99));
+    let (p50, p95, p99) = (
+        pct(&latencies, 0.50),
+        pct(&latencies, 0.95),
+        pct(&latencies, 0.99),
+    );
+    let stdio_p95 = pct(&stdio_latencies, 0.95);
+    let budget = SOCKET_P95_STDIO_FACTOR * stdio_p95 + SOCKET_P95_SLACK_MS;
     let qps = sock_done as f64 / wall.max(1e-9);
     drill.check(
         "socket latency/QPS budget holds with 4 concurrent clients",
-        p95 < SOCKET_P95_BUDGET_MS && qps > 5.0,
-        format!("p50 {p50:.2}ms p95 {p95:.2}ms p99 {p99:.2}ms, {qps:.0} req/s"),
+        p95 <= budget && qps > 5.0,
+        format!(
+            "p50 {p50:.2}ms p95 {p95:.2}ms p99 {p99:.2}ms, {qps:.0} req/s; \
+             budget {budget:.2}ms = {SOCKET_P95_STDIO_FACTOR} x stdio p95 {stdio_p95:.2}ms + {SOCKET_P95_SLACK_MS}ms"
+        ),
     );
     server.shutdown();
 
@@ -1073,6 +1084,8 @@ fn socket_drill() {
     metrics.set("latency_p50_ms", p50);
     metrics.set("latency_p95_ms", p95);
     metrics.set("latency_p99_ms", p99);
+    metrics.set("stdio_latency_p95_ms", stdio_p95);
+    metrics.set("latency_p95_budget_ms", budget);
     metrics.set("qps", qps);
     metrics.set_meta("threads", launch_threads.to_string());
     metrics.set_meta("pool", tensor::pool::enabled().to_string());

@@ -9,6 +9,14 @@
 //! `serve/slow_client_drops` is incremented — the executor never blocks
 //! on a socket write.
 //!
+//! Latency path: every accepted stream has `TCP_NODELAY` set, and the
+//! writer takes everything queued in one lock hold and sends it with one
+//! `write_all` per wakeup, so a reply leaves the process as soon as it
+//! exists instead of waiting on Nagle's algorithm for the client's next
+//! ACK. Nothing in the transport polls on a timer: accept blocks (and
+//! [`Transport::stop_accepting`] wakes it with a self-connect), and the
+//! half-close path waits on a condvar for in-flight replies.
+//!
 //! Failure handling:
 //!
 //! * **over-limit accept** — the client receives one structured `shed`
@@ -31,11 +39,11 @@ use crate::protocol::{Response, Status};
 use crate::server::{ReplyTx, Server};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Transport knobs (the serving knobs live in
 /// [`ServeConfig`](crate::server::ServeConfig)).
@@ -45,7 +53,8 @@ pub struct TransportConfig {
     /// structured `shed` reply and close.
     pub max_conns: usize,
     /// Bounded per-connection outbound queue: replies waiting for a slow
-    /// client. Overflow drops the connection.
+    /// client, not counting the batch the writer is sending. Overflow
+    /// drops the connection.
     pub outbound_capacity: usize,
     /// Close a connection after this long without a readable byte.
     pub idle_timeout_ms: u64,
@@ -74,7 +83,10 @@ pub struct Conn {
     peer: String,
     stream: TcpStream,
     outbound: Mutex<Outbound>,
+    /// Wakes the writer: a reply was queued or the connection closed.
     cv: Condvar,
+    /// Wakes a half-closed reader: `inflight` reached zero.
+    drained: Condvar,
     capacity: usize,
     /// Requests submitted from this connection still awaiting a reply.
     inflight: AtomicU64,
@@ -96,6 +108,7 @@ impl Conn {
                 cause: "",
             }),
             cv: Condvar::new(),
+            drained: Condvar::new(),
             capacity,
             inflight: AtomicU64::new(0),
             lines_read: AtomicU64::new(0),
@@ -121,10 +134,15 @@ impl Conn {
     }
 
     fn enqueue(&self, r: Response, balances_inflight: bool) {
-        if balances_inflight {
-            self.inflight.fetch_sub(1, Ordering::Relaxed);
-        }
+        // Serialize outside the lock the writer contends for.
+        let line = r.to_json();
+        let drained = balances_inflight && self.inflight.fetch_sub(1, Ordering::Relaxed) == 1;
         let mut ob = self.outbound.lock().unwrap_or_else(|e| e.into_inner());
+        if drained {
+            // Under the lock, so a reader that saw `inflight > 0` is
+            // already parked in `wait_inflight_drained` and can't miss it.
+            self.drained.notify_all();
+        }
         if !ob.open {
             return; // Connection already dead: the reply evaporates here.
         }
@@ -145,7 +163,7 @@ impl Conn {
             let _ = self.stream.shutdown(Shutdown::Both);
             return;
         }
-        ob.queue.push_back(r.to_json());
+        ob.queue.push_back(line);
         drop(ob);
         self.cv.notify_one();
     }
@@ -206,10 +224,10 @@ impl Conn {
     /// Wait (bounded) for every submitted request to be answered —
     /// the half-close path: the client sent EOF but still reads replies.
     fn wait_inflight_drained(&self, limit: Duration) {
-        let start = Instant::now();
-        while self.inflight.load(Ordering::Relaxed) > 0 && start.elapsed() < limit {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        let ob = self.outbound.lock().unwrap_or_else(|e| e.into_inner());
+        let _ = self
+            .drained
+            .wait_timeout_while(ob, limit, |_| self.inflight.load(Ordering::Relaxed) > 0);
     }
 }
 
@@ -233,9 +251,6 @@ impl Transport {
         config: TransportConfig,
     ) -> Result<Transport, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind `{addr}`: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set nonblocking: {e}"))?;
         let local_addr = listener
             .local_addr()
             .map_err(|e| format!("cannot read local addr: {e}"))?;
@@ -275,11 +290,23 @@ impl Transport {
     }
 
     /// Stop accepting new connections (existing ones keep serving).
-    /// Idempotent; the first step of a graceful drain.
+    /// Idempotent; the first step of a graceful drain. The accept loop is
+    /// parked in a blocking `accept`, so after raising `stop` this connects
+    /// once to the listener to wake it.
     pub fn stop_accepting(&self) {
         self.stop.store(true, Ordering::Relaxed);
         let mut h = self.accept_handle.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(handle) = h.take() {
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                // A wildcard bind is reachable on loopback of its family.
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            // Refused means the loop already exited (server draining).
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
             let _ = handle.join();
         }
     }
@@ -315,6 +342,9 @@ impl Drop for Transport {
     }
 }
 
+/// Pause after an accept error that isn't transient (e.g. `EMFILE`).
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+
 fn accept_loop(
     listener: TcpListener,
     server: Arc<Server>,
@@ -325,10 +355,11 @@ fn accept_loop(
 ) {
     let mut next_id: u64 = 0;
     loop {
+        let accepted = listener.accept();
         if stop.load(Ordering::Relaxed) || server.is_draining() {
-            return;
+            return; // Dropping the listener refuses anything still queued.
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, peer)) => {
                 sweep_closed(&conns);
                 let open = server.stats().open_conns.load(Ordering::Relaxed);
@@ -339,11 +370,16 @@ fn accept_loop(
                 next_id += 1;
                 spawn_connection(next_id, stream, peer, &server, &config, &conns, &workers);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                sweep_closed(&conns);
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            // A connection reset before we took it, or a signal.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::ConnectionAborted | ErrorKind::Interrupted
+                ) => {}
+            // Descriptor or buffer exhaustion: `accept` would fail again
+            // at once, so back off instead of spinning. `stop_accepting`'s
+            // self-connect is picked up by the retry.
+            Err(_) => std::thread::park_timeout(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -376,6 +412,9 @@ fn spawn_connection(
     conns: &Arc<Mutex<HashMap<u64, Arc<Conn>>>>,
     workers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
+    // Replies are complete lines handed over in one write: send them now
+    // rather than holding them for the client's next ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(read_stream) = stream.try_clone() else {
         let _ = stream.shutdown(Shutdown::Both);
         return;
@@ -449,6 +488,9 @@ fn reader_loop(conn: Arc<Conn>, server: Arc<Server>, mut stream: TcpStream, idle
     let _ = stream.set_read_timeout(Some(idle));
     let max_line = server.config().limits.max_line_bytes;
     let mut buf: Vec<u8> = Vec::new();
+    // `buf[..scanned]` is known to hold no newline: a line arriving in
+    // many chunks is scanned once, not once per chunk.
+    let mut scanned = 0;
     let mut chunk = [0u8; 8192];
     loop {
         if !conn.is_open() {
@@ -466,8 +508,9 @@ fn reader_loop(conn: Arc<Conn>, server: Arc<Server>, mut stream: TcpStream, idle
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
                 let mut start = 0;
-                while let Some(pos) = buf[start..].iter().position(|&b| b == b'\n') {
-                    let mut line = &buf[start..start + pos];
+                while let Some(pos) = buf[scanned..].iter().position(|&b| b == b'\n') {
+                    let end = scanned + pos;
+                    let mut line = &buf[start..end];
                     if line.last() == Some(&b'\r') {
                         line = &line[..line.len() - 1];
                     }
@@ -476,9 +519,11 @@ fn reader_loop(conn: Arc<Conn>, server: Arc<Server>, mut stream: TcpStream, idle
                         conn.inflight.fetch_add(1, Ordering::Relaxed);
                         server.submit_bytes(line, &ReplyTx::Conn(conn.clone()));
                     }
-                    start += pos + 1;
+                    start = end + 1;
+                    scanned = start;
                 }
                 buf.drain(..start);
+                scanned = buf.len();
                 if buf.len() > max_line.saturating_add(4096) {
                     // A "line" past the limit with no newline in sight:
                     // reject and close rather than buffer without bound.
@@ -491,6 +536,8 @@ fn reader_loop(conn: Arc<Conn>, server: Arc<Server>, mut stream: TcpStream, idle
                     return;
                 }
             }
+            // The `idle` read timeout expired: Unix reports it as
+            // `WouldBlock`, Windows as `TimedOut`.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 server.stats().idle_closed.fetch_add(1, Ordering::Relaxed);
                 trace::metrics::counter_add("serve/idle_closed", 1);
@@ -512,37 +559,40 @@ fn reader_loop(conn: Arc<Conn>, server: Arc<Server>, mut stream: TcpStream, idle
 }
 
 /// Drain the bounded outbound queue onto the socket. The only thread
-/// that writes to this connection; exits once the queue is flushed after
-/// close, then records the close exactly once.
+/// that writes to this connection: each wakeup takes everything queued in
+/// one lock hold and sends it as one `write_all`. Exits once the queue is
+/// flushed after close, then records the close exactly once.
 fn writer_loop(conn: Arc<Conn>, mut stream: TcpStream) {
+    let mut batch: VecDeque<String> = VecDeque::new();
+    let mut bytes: Vec<u8> = Vec::new();
     loop {
-        let item = {
+        let open = {
             let mut ob = conn.outbound.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(line) = ob.queue.pop_front() {
-                    break Some(line);
-                }
-                if !ob.open {
-                    break None;
-                }
+            while ob.queue.is_empty() && ob.open {
                 ob = conn.cv.wait(ob).unwrap_or_else(|e| e.into_inner());
             }
+            // Swap rather than drain: both buffers keep their capacity.
+            std::mem::swap(&mut ob.queue, &mut batch);
+            ob.open
         };
-        match item {
-            Some(mut line) => {
-                line.push('\n');
-                if stream.write_all(line.as_bytes()).is_err() {
-                    conn.begin_close("error");
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                    break;
-                }
-                conn.replies_written.fetch_add(1, Ordering::Relaxed);
+        if !batch.is_empty() {
+            let n = batch.len() as u64;
+            bytes.clear();
+            for line in batch.drain(..) {
+                bytes.extend_from_slice(line.as_bytes());
+                bytes.push(b'\n');
             }
-            None => {
-                let _ = stream.flush();
-                let _ = stream.shutdown(Shutdown::Write);
+            if stream.write_all(&bytes).is_err() {
+                conn.begin_close("error");
+                let _ = conn.stream.shutdown(Shutdown::Both);
                 break;
             }
+            conn.replies_written.fetch_add(n, Ordering::Relaxed);
+        }
+        if !open {
+            let _ = stream.flush();
+            let _ = stream.shutdown(Shutdown::Write);
+            break;
         }
     }
     conn.record_close();

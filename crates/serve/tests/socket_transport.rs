@@ -3,19 +3,22 @@
 //! requests replayed serially through `submit_line` (the stdio path),
 //! while the failure paths — abrupt disconnect mid-batch, slow-reader
 //! backpressure, the connection limit, idle timeouts — behave exactly as
-//! specified and never take the executor down.
+//! specified and never take the executor down. The latency path is pinned
+//! too: a pipelined burst comes back whole through the coalescing writer,
+//! a half-closed client still gets every reply, and shutdown wakes the
+//! blocking accept.
 
 use oodgnn_serve::json::{self, Json};
 use oodgnn_serve::{
     checkpoint_from_model, ModelSpec, ServeConfig, Server, Status, Transport, TransportConfig,
 };
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The worker pool and trace globals are process-wide; serialize tests.
 static GLOBAL: Mutex<()> = Mutex::new(());
@@ -123,6 +126,35 @@ fn wait_counter(server: &Server, want: u64, pick: impl Fn(&oodgnn_serve::ServeSt
         std::thread::sleep(Duration::from_millis(2));
     }
     panic!("counter never reached {want} (at {})", pick(server.stats()));
+}
+
+/// Poll `sink` for the first `serve_conn_close` event (the close is
+/// recorded by a transport thread after the client sees EOF).
+fn wait_close_event(sink: &trace::MemorySink) -> trace::Event {
+    for _ in 0..2000 {
+        if let Some(e) = sink
+            .events()
+            .into_iter()
+            .find(|e| e.name == trace::names::SERVE_CONN_CLOSE)
+        {
+            return e;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    panic!("no serve_conn_close event recorded");
+}
+
+fn event_int(e: &trace::Event, key: &str) -> i64 {
+    e.field(key)
+        .and_then(|v| v.as_i64())
+        .unwrap_or_else(|| panic!("`{key}` missing from {e:?}"))
+}
+
+fn event_str(e: &trace::Event, key: &str) -> String {
+    e.field(key)
+        .and_then(|v| v.as_str())
+        .unwrap_or_else(|| panic!("`{key}` missing from {e:?}"))
+        .to_string()
 }
 
 #[test]
@@ -421,6 +453,146 @@ fn stats_and_telemetry_carry_connection_rows() {
     assert_eq!(num("win_conn_open"), 1.0);
     assert_eq!(num("win_conn_close"), 0.0);
     transport.shutdown();
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn pipelined_burst_in_one_write_gets_every_reply() {
+    let _g = lock();
+    let sink = trace::MemorySink::shared();
+    trace::attach(Box::new(sink.clone()));
+    let (server, dir, _ck) = start_server("burst");
+    let transport =
+        Transport::bind(server.clone(), "127.0.0.1:0", TransportConfig::default()).unwrap();
+    let stream = connect(&transport);
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+
+    const BURST: usize = 16;
+    let mut want: Vec<String> = (0..BURST).map(|g| format!("b{g:02}")).collect();
+    let burst: String = want
+        .iter()
+        .enumerate()
+        .map(|(g, id)| format!("{}\n", infer_line(id, 3 + g % 4, g as u64)))
+        .collect();
+    writer.write_all(burst.as_bytes()).unwrap();
+    let mut got: Vec<String> = (0..BURST)
+        .map(|_| {
+            let pairs = read_response(&mut reader).expect("reply before close");
+            assert_eq!(field_str(&pairs, "status").as_deref(), Some("ok"));
+            field_str(&pairs, "id").expect("correlated reply")
+        })
+        .collect();
+    got.sort();
+    want.sort();
+    assert_eq!(got, want);
+
+    writer.shutdown(Shutdown::Write).unwrap();
+    assert!(read_response(&mut reader).is_none(), "EOF after the burst");
+    let close = wait_close_event(&sink);
+    assert_eq!(event_int(&close, "lines_read"), BURST as i64);
+    assert_eq!(event_int(&close, "replies_written"), BURST as i64);
+    trace::detach_all();
+    transport.shutdown();
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn request_split_across_reads_is_reassembled() {
+    let _g = lock();
+    let (server, dir, _ck) = start_server("split");
+    let transport =
+        Transport::bind(server.clone(), "127.0.0.1:0", TransportConfig::default()).unwrap();
+    let stream = connect(&transport);
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    // Three pieces with pauses between them, so the reader sees the line
+    // arrive over several reads and must resume its newline scan.
+    let line = format!("{}\n", infer_line("split", 5, 3));
+    let (a, rest) = line.split_at(line.len() / 3);
+    let (b, c) = rest.split_at(rest.len() / 2);
+    for piece in [a, b, c] {
+        writer.write_all(piece.as_bytes()).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let pairs = read_response(&mut reader).unwrap();
+    assert_eq!(field_str(&pairs, "id").as_deref(), Some("split"));
+    assert_eq!(field_str(&pairs, "status").as_deref(), Some("ok"));
+    transport.shutdown();
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn half_closed_client_still_receives_every_reply() {
+    let _g = lock();
+    let sink = trace::MemorySink::shared();
+    trace::attach(Box::new(sink.clone()));
+    let (server, dir, _ck) = start_server("halfclose");
+    let transport =
+        Transport::bind(server.clone(), "127.0.0.1:0", TransportConfig::default()).unwrap();
+    // Stall the executor so the replies are still in flight when the
+    // reader sees EOF: it must wait for them before closing.
+    server.fault_injector().inject_slow_batches(1, 200);
+    let stream = connect(&transport);
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    for g in 0..4 {
+        writeln!(writer, "{}", infer_line(&format!("h{g}"), 3, g)).unwrap();
+    }
+    writer.shutdown(Shutdown::Write).unwrap();
+    let t0 = Instant::now();
+    let mut ids: Vec<String> = (0..4)
+        .map(|_| {
+            let pairs = read_response(&mut reader).expect("reply after half-close");
+            assert_eq!(field_str(&pairs, "status").as_deref(), Some("ok"));
+            field_str(&pairs, "id").unwrap()
+        })
+        .collect();
+    ids.sort();
+    assert_eq!(ids, ["h0", "h1", "h2", "h3"]);
+    assert!(read_response(&mut reader).is_none(), "then EOF");
+    assert!(
+        t0.elapsed() < Duration::from_secs(5),
+        "close waited {:?}: the in-flight wait missed its wakeup",
+        t0.elapsed()
+    );
+    let close = wait_close_event(&sink);
+    assert_eq!(event_str(&close, "cause"), "eof");
+    assert_eq!(event_int(&close, "replies_written"), 4);
+    trace::detach_all();
+    transport.shutdown();
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn shutdown_with_no_client_ever_connected_returns_promptly() {
+    let _g = lock();
+    let (server, dir, _ck) = start_server("quiet");
+    // A wildcard bind is woken through loopback.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let transport = Transport::bind(server.clone(), addr, TransportConfig::default()).unwrap();
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let t0 = Instant::now();
+            transport.shutdown();
+            tx.send(t0.elapsed()).ok();
+        });
+        let took = rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{addr}: shutdown never woke the accept loop"));
+        assert!(
+            took < Duration::from_secs(1),
+            "{addr}: shutdown took {took:?}"
+        );
+    }
+    // The wake-up connect is not a client.
+    assert_eq!(server.stats().conn_open.load(Ordering::Relaxed), 0);
+    assert_eq!(server.stats().conn_shed.load(Ordering::Relaxed), 0);
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

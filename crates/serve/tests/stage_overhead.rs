@@ -6,16 +6,29 @@
 
 use oodgnn_serve::{ServeWindows, StageTiming};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// System allocator wrapper counting every allocation in the process.
+/// System allocator wrapper counting allocations per thread, so a test
+/// measures only its own work even while sibling tests run alongside.
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn thread_allocs() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -24,7 +37,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -62,21 +75,14 @@ fn stage_stamp_path_is_allocation_free_after_warmup() {
         record_one(&mut w, i);
     }
 
-    // The counter is process-global, so another runtime thread could in
-    // principle allocate mid-window; take the best of several trials to
-    // keep the signal exact without being flaky.
-    let mut min_delta = u64::MAX;
-    for trial in 0..5u64 {
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
-        for i in 0..10_000 {
-            record_one(&mut w, 5_000 + trial * 10_000 + i);
-        }
-        let delta = ALLOC_CALLS.load(Ordering::Relaxed) - before;
-        min_delta = min_delta.min(delta);
+    let before = thread_allocs();
+    for i in 0..10_000 {
+        record_one(&mut w, 5_000 + i);
     }
+    let delta = thread_allocs() - before;
     assert_eq!(
-        min_delta, 0,
-        "stage-stamp record path allocated {min_delta} times over 10k requests"
+        delta, 0,
+        "stage-stamp record path allocated {delta} times over 10k requests"
     );
 }
 
@@ -92,9 +98,9 @@ fn snapshot_path_reuses_its_scratch_buffer() {
     // path), so bound the count rather than requiring zero.
     let now = 5_000 * 997;
     let _ = w.rows(now);
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     let rows = w.rows(now);
-    let delta = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    let delta = thread_allocs() - before;
     assert!(!rows.is_empty());
     // Generous bound: one Vec + a few allocations per row label.
     assert!(
