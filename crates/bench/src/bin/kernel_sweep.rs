@@ -1,9 +1,8 @@
-//! Kernel-family sweep for the vectorized tensor layer: times each hot
-//! kernel with the SIMD-style bodies on (`OOD_SIMD=1`, the default) and
-//! off (plain scalar twins), reports the per-kernel speedup, and gates
-//! unconditionally on the two paths producing bitwise-identical output
-//! (the lane-schedule determinism contract — both bodies execute the
-//! exact same float schedule, so only speed may differ).
+//! Kernel-family timing report for the vectorized tensor layer: times
+//! each hot kernel body and records its median wall time and an FNV-1a
+//! digest of its output bits. The digests are a function of the fixed
+//! float schedule only, so they match across machines, thread counts and
+//! pool settings; a changed digest means a kernel's arithmetic changed.
 //!
 //! Usage: `cargo run -p bench --release --bin kernel_sweep`
 //! (`OOD_BENCH_FAST=1` shrinks the measurement budget for smoke runs.)
@@ -17,27 +16,25 @@
 use bench::{fmt_ns, Harness};
 use std::rc::Rc;
 use tensor::csr::CsrIndex;
+use tensor::fnv::Fnv1a;
 use tensor::rng::Rng;
-use tensor::{simd, Tape, Tensor};
+use tensor::{Tape, Tensor};
 
-/// One swept kernel: a name and a closure producing the full output
-/// buffer, whose bits must not depend on the SIMD switch.
+/// One timed kernel: a name and a closure producing the full output
+/// buffer.
 struct Case {
     name: &'static str,
     run: Box<dyn FnMut() -> Vec<f32>>,
 }
 
-/// FNV-1a over the raw bit patterns: any single-bit difference between
-/// the vectorized and scalar outputs flips the digest.
-fn fnv1a(values: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// Byte-wise FNV-1a over the little-endian bit patterns: any single-bit
+/// change in the output flips the digest.
+fn digest(values: &[f32]) -> u64 {
+    let mut h = Fnv1a::default();
     for v in values {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write(&v.to_bits().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 fn cases() -> Vec<Case> {
@@ -162,15 +159,14 @@ fn main() {
     let json_out = bench::Args::from_env().get_str("json", "results/kernel_sweep.json");
     let jsonl = bench::telemetry::init("kernel_sweep", 0);
 
-    println!("# Kernel sweep: vectorized vs scalar kernel bodies\n");
+    println!("# Kernel sweep: per-kernel timing and output digests\n");
     println!(
-        "Each kernel runs with the SIMD-style bodies on and off \
-         (`OOD_SIMD`). Both paths execute the identical float schedule, \
-         so the output digests must match bitwise (gated below); the \
-         table reports the resulting speedup of the vectorizable body.\n"
+        "Median wall time of each vectorized kernel body, and the FNV-1a \
+         digest of its output bits. Digests depend only on the fixed float \
+         schedule, not on the host, `OOD_THREADS` or `OOD_POOL`.\n"
     );
-    println!("| kernel | scalar | simd | speedup |");
-    println!("|---|---|---|---|");
+    println!("| kernel | median | digest |");
+    println!("|---|---|---|");
 
     let mut record = bench::MetricFile::new("kernel_sweep");
     record.set_meta(
@@ -180,47 +176,17 @@ fn main() {
             .unwrap_or(1)
             .to_string(),
     );
-    for case in cases() {
-        let Case { name, mut run } = case;
-        let mut medians = [0.0f64; 2]; // [scalar, simd]
-        let mut digest: Option<u64> = None;
-        for (slot, on) in [(0usize, false), (1usize, true)] {
-            let was = simd::set_enabled(on);
-            let d = fnv1a(&run());
-            match digest {
-                None => digest = Some(d),
-                // The unconditional bitwise gate: a digest mismatch means
-                // a vectorized body changed the float schedule.
-                Some(reference) => assert_eq!(
-                    reference, d,
-                    "{name}: simd and scalar outputs differ bitwise \
-                     — lane-schedule contract broken"
-                ),
-            }
-            let mode = if on { "simd" } else { "scalar" };
-            let mut h = Harness::new(&format!("kernel_sweep/{mode}"));
-            h.bench(name, &mut run);
-            medians[slot] = h.median_ns(name).expect("bench just ran");
-            simd::set_enabled(was);
-        }
-        let speedup = medians[0] / medians[1];
-        record.set(&format!("{name}_scalar_ns"), medians[0]);
-        record.set(&format!("{name}_simd_ns"), medians[1]);
-        record.set(&format!("{name}_speedup"), speedup);
-        record.set_meta(
-            &format!("{name}_digest"),
-            format!("{:#018x}", digest.unwrap_or(0)),
-        );
-        println!(
-            "| {name} | {} | {} | {speedup:.2}x |",
-            fmt_ns(medians[0]),
-            fmt_ns(medians[1]),
-        );
+    let mut h = Harness::new("kernel_sweep");
+    for Case { name, mut run } in cases() {
+        let d = format!("{:#018x}", digest(&run()));
+        h.bench(name, &mut run);
+        let median = h.median_ns(name).expect("bench just ran");
+        record.set(&format!("{name}_ns"), median);
+        record.set_meta(&format!("{name}_digest"), d.clone());
+        println!("| {name} | {} | `{d}` |", fmt_ns(median));
     }
 
-    println!("\nAll kernel digests bitwise-identical across the SIMD switch.");
     if json_out != "-" {
-        record.set_meta("verdict", "pass");
         match record.save(&json_out) {
             Ok(()) => eprintln!("kernel_sweep: wrote {json_out}"),
             Err(e) => eprintln!("kernel_sweep: cannot write {json_out}: {e}"),

@@ -64,16 +64,6 @@ fn train_once(bench: &OodBenchmark, cfg: &OodGnnConfig) -> OodGnnReport {
         .expect("sweep run completes")
 }
 
-/// Order-sensitive bitwise digest of a float sequence (FNV-1a over bits).
-fn digest(values: impl IntoIterator<Item = f32>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in values {
-        h ^= v.to_bits() as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 struct ConfigResult {
     label: String,
     pooled: bool,
@@ -119,7 +109,7 @@ fn main() {
             let report = train_once(&bench_data, &cfg);
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             let stats = pool::stats();
-            let checksum = digest(
+            let checksum = tensor::fnv::hash_f32_bits(
                 report
                     .loss_curve
                     .iter()

@@ -62,16 +62,6 @@ fn gate_config(fast: bool) -> OodGnnConfig {
     }
 }
 
-/// Order-sensitive bitwise digest of a float sequence (FNV-1a over bits).
-fn digest(values: impl IntoIterator<Item = f32>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in values {
-        h ^= v.to_bits() as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Tolerance band per metric name. Wall-clock metrics get generous
 /// multiplicative headroom plus absolute slack (single-core CI runners
 /// timeshare); counter and byte metrics are deterministic, so their bands
@@ -172,7 +162,7 @@ fn main() {
     }
 
     let snap = tensor::profile::snapshot();
-    let checksum = digest(
+    let checksum = tensor::fnv::hash_f32_bits(
         report
             .loss_curve
             .iter()

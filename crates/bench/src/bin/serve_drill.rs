@@ -47,6 +47,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tensor::fnv::Fnv1a;
 use tensor::rng::Rng;
 
 const SEED: u64 = 12;
@@ -187,9 +188,11 @@ fn wait_queue_empty(server: &Server) {
     panic!("queue never drained");
 }
 
-fn fnv1a_update(h: &mut u64, v: u64) {
-    *h ^= v;
-    *h = h.wrapping_mul(0x100000001b3);
+/// `(p50, p95, p99)` in ms of microsecond latencies; NaN when empty.
+fn latency_quantiles_ms(latencies_us: &[u64]) -> (f64, f64, f64) {
+    let mut ms: Vec<f64> = latencies_us.iter().map(|&us| us as f64 / 1e3).collect();
+    trace::metrics::Summary::of(&mut ms)
+        .map_or((f64::NAN, f64::NAN, f64::NAN), |s| (s.p50, s.p95, s.p99))
 }
 
 /// Replay `graphs` in waves; return (digest over output bits, latencies,
@@ -197,7 +200,7 @@ fn fnv1a_update(h: &mut u64, v: u64) {
 /// `timing` object is missing or whose stage sum differs from the
 /// reported end-to-end latency.
 fn replay(server: &Server, graphs: &[&graph::Graph]) -> (u64, Vec<u64>, usize, usize) {
-    let mut digest: u64 = 0xcbf29ce484222325;
+    let mut digest = Fnv1a::default();
     let mut latencies = Vec::new();
     let mut completed = 0usize;
     let mut timing_violations = 0usize;
@@ -213,7 +216,7 @@ fn replay(server: &Server, graphs: &[&graph::Graph]) -> (u64, Vec<u64>, usize, u
             if r.status == Status::Ok {
                 completed += 1;
                 for v in r.outputs.as_ref().unwrap() {
-                    fnv1a_update(&mut digest, v.to_bits() as u64);
+                    digest.write_word(v.to_bits() as u64);
                 }
                 if let Some(us) = r.latency_us {
                     latencies.push(us);
@@ -225,7 +228,7 @@ fn replay(server: &Server, graphs: &[&graph::Graph]) -> (u64, Vec<u64>, usize, u
             }
         }
     }
-    (digest, latencies, completed, timing_violations)
+    (digest.finish(), latencies, completed, timing_violations)
 }
 
 fn start_server(spec: &ModelSpec, ck: &Path, config: ServeConfig) -> Server {
@@ -344,21 +347,9 @@ fn main() {
         ),
     );
     let mut best: Option<(f64, f64, f64, f64)> = None;
-    for (mut lat, w) in rounds {
-        lat.sort_unstable();
-        let pct = |p: f64| -> f64 {
-            if lat.is_empty() {
-                return f64::NAN;
-            }
-            let idx = ((lat.len() - 1) as f64 * p).round() as usize;
-            lat[idx] as f64 / 1e3
-        };
-        let round = (
-            pct(0.50),
-            pct(0.95),
-            pct(0.99),
-            completed as f64 / w.max(1e-9),
-        );
+    for (lat, w) in rounds {
+        let (p50, p95, p99) = latency_quantiles_ms(&lat);
+        let round = (p50, p95, p99, completed as f64 / w.max(1e-9));
         if best.is_none_or(|b| round.1 < b.1) {
             best = Some(round);
         }
@@ -775,11 +766,11 @@ fn socket_replay(
     // processed in order and ids sort within a wave), so the digests are
     // directly comparable.
     outputs.sort_by_key(|(i, _, _)| *i);
-    let mut digest: u64 = 0xcbf29ce484222325;
+    let mut digest = Fnv1a::default();
     let mut latencies = Vec::with_capacity(outputs.len());
     for (_, bits, us) in &outputs {
         for &b in bits {
-            fnv1a_update(&mut digest, b);
+            digest.write_word(b);
         }
         latencies.push(*us);
     }
@@ -788,7 +779,7 @@ fn socket_replay(
         count(&stats.conn_close) >= before_close + clients as u64
     });
     transport.shutdown();
-    (digest, latencies, outputs.len())
+    (digest.finish(), latencies, outputs.len())
 }
 
 fn socket_drill() {
@@ -824,9 +815,9 @@ fn socket_drill() {
     // hold the latency/QPS budget, and the connection lifecycle counters
     // must come out exact.
     let server = Arc::new(start_server(&spec, &ck1, config.clone()));
-    let (stdio_digest, mut stdio_latencies, stdio_done, _) = replay(&server, &graphs);
+    let (stdio_digest, stdio_latencies, stdio_done, _) = replay(&server, &graphs);
     let t0 = Instant::now();
-    let (sock_digest, mut latencies, sock_done) = socket_replay(&server, &graphs, CLIENTS);
+    let (sock_digest, latencies, sock_done) = socket_replay(&server, &graphs, CLIENTS);
     let wall = t0.elapsed().as_secs_f64();
     let stats = server.stats();
     drill.check(
@@ -855,21 +846,8 @@ fn socket_drill() {
             count(&stats.open_conns)
         ),
     );
-    latencies.sort_unstable();
-    stdio_latencies.sort_unstable();
-    let pct = |lat: &[u64], p: f64| -> f64 {
-        if lat.is_empty() {
-            return f64::NAN;
-        }
-        let idx = ((lat.len() - 1) as f64 * p).round() as usize;
-        lat[idx] as f64 / 1e3
-    };
-    let (p50, p95, p99) = (
-        pct(&latencies, 0.50),
-        pct(&latencies, 0.95),
-        pct(&latencies, 0.99),
-    );
-    let stdio_p95 = pct(&stdio_latencies, 0.95);
+    let (p50, p95, p99) = latency_quantiles_ms(&latencies);
+    let stdio_p95 = latency_quantiles_ms(&stdio_latencies).1;
     let budget = SOCKET_P95_STDIO_FACTOR * stdio_p95 + SOCKET_P95_SLACK_MS;
     let qps = sock_done as f64 / wall.max(1e-9);
     drill.check(

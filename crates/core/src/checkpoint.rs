@@ -12,6 +12,7 @@
 use crate::error::OodGnnError;
 use crate::health::HealthReport;
 use std::path::{Path, PathBuf};
+use tensor::fnv;
 use tensor::rng::RngState;
 use tensor::serialize::{Section, Snapshot};
 use tensor::Tensor;
@@ -21,17 +22,6 @@ const FORMAT: u64 = 1;
 
 /// Name of the trailing integrity section holding the content checksum.
 const INTEGRITY_SECTION: &str = "integrity";
-
-/// FNV-1a over a byte stream (the workspace's digest idiom; see
-/// `bench::perf_gate`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// Where and how often the trainer writes checkpoints.
 #[derive(Debug, Clone)]
@@ -251,7 +241,7 @@ impl TrainCheckpoint {
         let mut payload = Vec::new();
         snap.write_to(&mut payload)?;
         let mut integrity = Section::new(INTEGRITY_SECTION);
-        integrity.ints = vec![fnv1a(&payload)];
+        integrity.ints = vec![fnv::hash_bytes(&payload)];
         snap.push(integrity);
         snap.save_atomic(path)?;
         Ok(())
@@ -277,7 +267,7 @@ impl TrainCheckpoint {
                 // remaining sections reproduces the bytes `save` hashed.
                 let mut payload = Vec::new();
                 snap.write_to(&mut payload)?;
-                let actual = fnv1a(&payload);
+                let actual = fnv::hash_bytes(&payload);
                 if actual != stored {
                     return Err(OodGnnError::Checkpoint(format!(
                         "checksum mismatch in `{}`: stored {stored:#018x}, computed \

@@ -36,7 +36,6 @@
 //! deterministic worker pool — responses are bitwise-identical at any
 //! `OOD_THREADS` setting.
 
-pub mod json;
 pub mod protocol;
 pub mod registry;
 pub mod server;

@@ -26,7 +26,7 @@
 //! malformed line yields a structured `error` response — never a dead
 //! server.
 
-use crate::json::{parse_object, Json};
+use trace::json::{parse_object_bytes, Json};
 
 /// Hard bounds enforced before a request is admitted.
 #[derive(Debug, Clone)]
@@ -131,7 +131,7 @@ pub enum Request {
 /// client can always distinguish "the server could not correlate this"
 /// from a request that genuinely sent `"id":""`.
 pub fn best_effort_id(line: &str) -> Option<String> {
-    if let Ok(pairs) = parse_object(line, usize::MAX) {
+    if let Ok(pairs) = parse_object_bytes(line.as_bytes(), usize::MAX) {
         for (k, v) in pairs {
             if k == "id" {
                 if let Some(s) = v.as_str() {
@@ -162,7 +162,7 @@ pub fn parse_request(line: &str, limits: &Limits) -> Result<Request, String> {
             limits.max_line_bytes
         ));
     }
-    let pairs = parse_object(line.trim(), limits.element_budget())?;
+    let pairs = parse_object_bytes(line.trim().as_bytes(), limits.element_budget())?;
     let mut op = None;
     let mut id = String::new();
     let mut model = "default".to_string();

@@ -2,7 +2,7 @@
 //! checkpoint file, a mixed request stream including a malformed line, and
 //! a graceful EOF drain with exit code 0.
 
-use oodgnn_serve::{checkpoint_from_model, json, ModelSpec};
+use oodgnn_serve::{checkpoint_from_model, ModelSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
 
@@ -52,7 +52,8 @@ fn binary_serves_over_stdio_and_drains_on_eof() {
     let mut statuses = std::collections::HashMap::new();
     for line in stdout.lines() {
         let line = line.unwrap();
-        let pairs = json::parse_object(&line, 1024).expect("response parses");
+        let pairs =
+            trace::json::parse_object_bytes(line.as_bytes(), 1024).expect("response parses");
         let get = |key: &str| {
             pairs
                 .iter()

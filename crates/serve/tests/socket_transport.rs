@@ -8,7 +8,6 @@
 //! a half-closed client still gets every reply, and shutdown wakes the
 //! blocking accept.
 
-use oodgnn_serve::json::{self, Json};
 use oodgnn_serve::{
     checkpoint_from_model, ModelSpec, ServeConfig, Server, Status, Transport, TransportConfig,
 };
@@ -19,6 +18,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use trace::json::{parse_object_bytes, Json};
 
 /// The worker pool and trace globals are process-wide; serialize tests.
 static GLOBAL: Mutex<()> = Mutex::new(());
@@ -93,7 +93,9 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> Option<Vec<(String, Json)
     let mut line = String::new();
     match reader.read_line(&mut line) {
         Ok(0) | Err(_) => None,
-        Ok(_) => Some(json::parse_object(line.trim(), 1 << 16).expect("response parses")),
+        Ok(_) => {
+            Some(parse_object_bytes(line.trim().as_bytes(), 1 << 16).expect("response parses"))
+        }
     }
 }
 
@@ -598,14 +600,7 @@ fn shutdown_with_no_client_ever_connected_returns_promptly() {
 }
 
 fn json_quote(s: &str) -> String {
-    let mut out = String::from("\"");
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            _ => out.push(c),
-        }
-    }
-    out.push('"');
+    let mut out = String::new();
+    trace::json::write_str(&mut out, s);
     out
 }

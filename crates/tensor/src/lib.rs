@@ -23,6 +23,7 @@
 
 pub mod check;
 pub mod csr;
+pub mod fnv;
 pub mod nn;
 pub mod ops;
 pub mod optim;

@@ -315,6 +315,14 @@ pub fn shared_zeros(shape: &Shape) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// `set_enabled` is process-global; serialize the tests that flip it.
+    static ENABLED_LOCK: Mutex<()> = Mutex::new(());
+
+    fn lock() -> std::sync::MutexGuard<'static, ()> {
+        ENABLED_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn classes_are_consistent() {
@@ -331,6 +339,7 @@ mod tests {
 
     #[test]
     fn round_trip_reuses_buffer() {
+        let _guard = lock();
         let was = set_enabled(true);
         drain_thread_pool();
         let before = stats();
@@ -348,6 +357,7 @@ mod tests {
 
     #[test]
     fn take_zeroed_is_really_zero_after_reuse() {
+        let _guard = lock();
         let was = set_enabled(true);
         let mut v = take_raw(256);
         v.fill(7.0);
@@ -359,6 +369,7 @@ mod tests {
 
     #[test]
     fn disabled_pool_never_recycles() {
+        let _guard = lock();
         let was = set_enabled(false);
         let v = take_raw(512);
         give(v);
@@ -369,6 +380,7 @@ mod tests {
 
     #[test]
     fn peak_retained_bytes_is_a_high_water_mark() {
+        let _guard = lock();
         let was = set_enabled(true);
         drain_thread_pool();
         let v = take_raw(4096);

@@ -204,8 +204,6 @@ pub struct ProfileSnapshot {
     /// Buffer-pool counters (hits, misses, bytes reused, …) from the
     /// tensor memory engine ([`crate::pool`]).
     pub pool: crate::pool::PoolStats,
-    /// Whether the vectorized kernel bodies ([`crate::simd`]) are active.
-    pub simd: bool,
     /// CSR index-cache hits ([`crate::csr`]) since the last reset.
     pub csr_hits: u64,
     /// CSR index-cache misses (index builds) since the last reset.
@@ -276,7 +274,6 @@ pub fn snapshot() -> ProfileSnapshot {
         par_chunks,
         par_nanos,
         pool: crate::pool::stats(),
-        simd: crate::simd::enabled(),
         csr_hits: crate::csr::cache_stats().0,
         csr_misses: crate::csr::cache_stats().1,
     }

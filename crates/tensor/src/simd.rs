@@ -1,22 +1,16 @@
 //! Vectorized kernel bodies: 8-lane unrolled loops with scalar tails.
 //!
-//! Every function here comes in two implementations — a *vectorized* body
-//! written as manual 8-wide blocks the compiler can autovectorize (array
-//! accumulators, `chunks_exact(8)` main loops, scalar tails) and a
-//! *scalar reference* body that executes the **exact same float schedule**
-//! one element at a time. Which one runs is selected at runtime by the
-//! `OOD_SIMD` switch ([`enabled`]/[`set_enabled`], mirroring the buffer
-//! pool's `OOD_POOL` idiom), so the `kernel_sweep` bench can A/B the two
-//! paths in one process and the determinism suite can compare them
-//! bitwise.
+//! Every function here is written as manual 8-wide blocks the compiler
+//! can autovectorize (array accumulators, `chunks_exact(8)` main loops,
+//! scalar tails). There is exactly one body per kernel.
 //!
 //! ## The fixed-order accumulation contract
 //!
 //! The bitwise-determinism contract of this workspace requires every
-//! kernel to produce identical bits at any `OOD_THREADS` × `OOD_POOL` ×
-//! `OOD_SIMD` setting. For elementwise maps and zips that is trivial
-//! (element `i` is a pure function of input `i`). For reductions, the
-//! accumulation *schedule* is part of the kernel's definition:
+//! kernel to produce identical bits at any `OOD_THREADS` × `OOD_POOL`
+//! setting. For elementwise maps and zips that is trivial (element `i` is
+//! a pure function of input `i`). For reductions, the accumulation
+//! *schedule* is part of the kernel's definition:
 //!
 //! * the first `len - len % 8` elements feed eight lane accumulators —
 //!   lane `l` combines elements `l, l+8, l+16, …` in ascending order;
@@ -24,89 +18,45 @@
 //!   `((l0⊕l1)⊕(l2⊕l3)) ⊕ ((l4⊕l5)⊕(l6⊕l7))`;
 //! * the scalar tail is folded in afterwards, left to right.
 //!
-//! Both the vectorized and the scalar-reference bodies implement this
-//! schedule exactly, so they agree bitwise; chunked callers then combine
-//! per-chunk partials with [`crate::par::tree_reduce`], whose order is a
-//! pure function of the chunk count. The matmul microkernel needs no lane
-//! schedule at all: its vector dimension is the *output* column, and each
-//! output element still accumulates over `k` in strict ascending order —
-//! bitwise-identical to the classic i-k-j loop.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! The schedule depends only on the slice length, never on the thread
+//! count or buffer reuse; the unit tests pin it against a one-element-at-
+//! a-time reference fold. Chunked callers combine per-chunk partials with
+//! [`crate::par::tree_reduce`], whose order is a pure function of the
+//! chunk count. The matmul microkernel needs no lane schedule at all: its
+//! vector dimension is the *output* column, and each output element still
+//! accumulates over `k` in strict ascending order — bitwise-identical to
+//! the classic i-k-j loop.
 
 /// Lane width of the unrolled kernel bodies (f32x8-style blocking).
 pub const LANES: usize = 8;
 
-// ------------------------------------------------------------- enable flag
-
-/// 0 = uninitialized (consult `OOD_SIMD`), 1 = enabled, 2 = disabled.
-static ENABLED: AtomicUsize = AtomicUsize::new(0);
-
-/// Whether the vectorized bodies are active. Defaults to on; `OOD_SIMD=0`
-/// selects the scalar-reference bodies at first use.
-#[inline]
-pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        0 => {
-            let on = !std::env::var("OOD_SIMD").is_ok_and(|v| v == "0");
-            // Racing initializers read the same env var.
-            ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-        1 => true,
-        _ => false,
-    }
-}
-
-/// Select the vectorized (`true`) or scalar-reference (`false`) bodies at
-/// runtime, overriding `OOD_SIMD`. Returns the previous setting. Both
-/// paths are bitwise-identical, so this only changes speed, never results.
-pub fn set_enabled(on: bool) -> bool {
-    let prev = enabled();
-    ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-    prev
-}
-
 // ------------------------------------------------------- elementwise maps
 
-/// `out[i] = f(src[i])`. Order-preserving, so both bodies are trivially
-/// bitwise-identical.
+/// `out[i] = f(src[i])`. Order-preserving.
 pub fn map_to(src: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
     debug_assert_eq!(src.len(), out.len());
-    if enabled() {
-        let mut chunks = src.chunks_exact(LANES).zip(out.chunks_exact_mut(LANES));
-        for (s, o) in &mut chunks {
-            for l in 0..LANES {
-                o[l] = f(s[l]);
-            }
+    let mut chunks = src.chunks_exact(LANES).zip(out.chunks_exact_mut(LANES));
+    for (s, o) in &mut chunks {
+        for l in 0..LANES {
+            o[l] = f(s[l]);
         }
-        let main = src.len() - src.len() % LANES;
-        for (s, o) in src[main..].iter().zip(out[main..].iter_mut()) {
-            *o = f(*s);
-        }
-    } else {
-        for (s, o) in src.iter().zip(out.iter_mut()) {
-            *o = f(*s);
-        }
+    }
+    let main = src.len() - src.len() % LANES;
+    for (s, o) in src[main..].iter().zip(out[main..].iter_mut()) {
+        *o = f(*s);
     }
 }
 
 /// `out[i] = f(out[i])` in place.
 pub fn map_assign(out: &mut [f32], f: impl Fn(f32) -> f32) {
-    if enabled() {
-        for o in out.chunks_exact_mut(LANES) {
-            for v in o.iter_mut() {
-                *v = f(*v);
-            }
+    for o in out.chunks_exact_mut(LANES) {
+        for v in o.iter_mut() {
+            *v = f(*v);
         }
-        let main = out.len() - out.len() % LANES;
-        for o in &mut out[main..] {
-            *o = f(*o);
-        }
-    } else {
-        for o in out.iter_mut() {
-            *o = f(*o);
-        }
+    }
+    let main = out.len() - out.len() % LANES;
+    for o in &mut out[main..] {
+        *o = f(*o);
     }
 }
 
@@ -114,28 +64,22 @@ pub fn map_assign(out: &mut [f32], f: impl Fn(f32) -> f32) {
 pub fn zip_to(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
     debug_assert_eq!(a.len(), b.len());
     debug_assert_eq!(a.len(), out.len());
-    if enabled() {
-        let mut it = a
-            .chunks_exact(LANES)
-            .zip(b.chunks_exact(LANES))
-            .zip(out.chunks_exact_mut(LANES));
-        for ((av, bv), o) in &mut it {
-            for l in 0..LANES {
-                o[l] = f(av[l], bv[l]);
-            }
+    let mut it = a
+        .chunks_exact(LANES)
+        .zip(b.chunks_exact(LANES))
+        .zip(out.chunks_exact_mut(LANES));
+    for ((av, bv), o) in &mut it {
+        for l in 0..LANES {
+            o[l] = f(av[l], bv[l]);
         }
-        let main = a.len() - a.len() % LANES;
-        for ((av, bv), o) in a[main..]
-            .iter()
-            .zip(b[main..].iter())
-            .zip(out[main..].iter_mut())
-        {
-            *o = f(*av, *bv);
-        }
-    } else {
-        for ((av, bv), o) in a.iter().zip(b.iter()).zip(out.iter_mut()) {
-            *o = f(*av, *bv);
-        }
+    }
+    let main = a.len() - a.len() % LANES;
+    for ((av, bv), o) in a[main..]
+        .iter()
+        .zip(b[main..].iter())
+        .zip(out[main..].iter_mut())
+    {
+        *o = f(*av, *bv);
     }
 }
 
@@ -144,42 +88,30 @@ pub fn zip_to(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32
 /// is, so this stays bitwise-identical to the classic scatter loop.
 pub fn add_assign(acc: &mut [f32], x: &[f32]) {
     debug_assert_eq!(acc.len(), x.len());
-    if enabled() {
-        let mut it = acc.chunks_exact_mut(LANES).zip(x.chunks_exact(LANES));
-        for (a, v) in &mut it {
-            for l in 0..LANES {
-                a[l] += v[l];
-            }
+    let mut it = acc.chunks_exact_mut(LANES).zip(x.chunks_exact(LANES));
+    for (a, v) in &mut it {
+        for l in 0..LANES {
+            a[l] += v[l];
         }
-        let main = acc.len() - acc.len() % LANES;
-        for (a, v) in acc[main..].iter_mut().zip(x[main..].iter()) {
-            *a += v;
-        }
-    } else {
-        for (a, v) in acc.iter_mut().zip(x.iter()) {
-            *a += v;
-        }
+    }
+    let main = acc.len() - acc.len() % LANES;
+    for (a, v) in acc[main..].iter_mut().zip(x[main..].iter()) {
+        *a += v;
     }
 }
 
 /// `acc[i] += alpha * x[i]`.
 pub fn axpy_assign(acc: &mut [f32], alpha: f32, x: &[f32]) {
     debug_assert_eq!(acc.len(), x.len());
-    if enabled() {
-        let mut it = acc.chunks_exact_mut(LANES).zip(x.chunks_exact(LANES));
-        for (a, v) in &mut it {
-            for l in 0..LANES {
-                a[l] += alpha * v[l];
-            }
+    let mut it = acc.chunks_exact_mut(LANES).zip(x.chunks_exact(LANES));
+    for (a, v) in &mut it {
+        for l in 0..LANES {
+            a[l] += alpha * v[l];
         }
-        let main = acc.len() - acc.len() % LANES;
-        for (a, v) in acc[main..].iter_mut().zip(x[main..].iter()) {
-            *a += alpha * v;
-        }
-    } else {
-        for (a, v) in acc.iter_mut().zip(x.iter()) {
-            *a += alpha * v;
-        }
+    }
+    let main = acc.len() - acc.len() % LANES;
+    for (a, v) in acc[main..].iter_mut().zip(x[main..].iter()) {
+        *a += alpha * v;
     }
 }
 
@@ -196,9 +128,7 @@ fn combine_lanes(l: [f32; LANES], op: impl Fn(f32, f32) -> f32) -> f32 {
 }
 
 /// The shared reduction engine: `fold(op, init, term(x) for x in xs)` under
-/// the fixed lane schedule. The vectorized body runs 8 lanes per block;
-/// the scalar body feeds the same lanes one element at a time (identical
-/// operand order per lane, no unrolling) — bitwise-equal by construction.
+/// the fixed lane schedule, 8 lanes per block.
 #[inline]
 fn lane_fold(
     xs: &[f32],
@@ -208,15 +138,9 @@ fn lane_fold(
 ) -> f32 {
     let main = xs.len() - xs.len() % LANES;
     let mut lanes = [init; LANES];
-    if enabled() {
-        for block in xs[..main].chunks_exact(LANES) {
-            for l in 0..LANES {
-                lanes[l] = op(lanes[l], term(block[l]));
-            }
-        }
-    } else {
-        for (i, &x) in xs[..main].iter().enumerate() {
-            lanes[i % LANES] = op(lanes[i % LANES], term(x));
+    for block in xs[..main].chunks_exact(LANES) {
+        for l in 0..LANES {
+            lanes[l] = op(lanes[l], term(block[l]));
         }
     }
     let mut acc = combine_lanes(lanes, &op);
@@ -238,18 +162,12 @@ fn lane_fold2(
     debug_assert_eq!(xs.len(), ys.len());
     let main = xs.len() - xs.len() % LANES;
     let mut lanes = [init; LANES];
-    if enabled() {
-        for (bx, by) in xs[..main]
-            .chunks_exact(LANES)
-            .zip(ys[..main].chunks_exact(LANES))
-        {
-            for l in 0..LANES {
-                lanes[l] = op(lanes[l], term(bx[l], by[l]));
-            }
-        }
-    } else {
-        for (i, (&x, &y)) in xs[..main].iter().zip(ys[..main].iter()).enumerate() {
-            lanes[i % LANES] = op(lanes[i % LANES], term(x, y));
+    for (bx, by) in xs[..main]
+        .chunks_exact(LANES)
+        .zip(ys[..main].chunks_exact(LANES))
+    {
+        for l in 0..LANES {
+            lanes[l] = op(lanes[l], term(bx[l], by[l]));
         }
     }
     let mut acc = combine_lanes(lanes, &op);
@@ -302,24 +220,13 @@ pub fn center_dot(x: &[f32], g: &[f32], mean: &[f32]) -> f32 {
     debug_assert_eq!(x.len(), mean.len());
     let main = x.len() - x.len() % LANES;
     let mut lanes = [0.0f32; LANES];
-    if enabled() {
-        for ((bx, bg), bm) in x[..main]
-            .chunks_exact(LANES)
-            .zip(g[..main].chunks_exact(LANES))
-            .zip(mean[..main].chunks_exact(LANES))
-        {
-            for l in 0..LANES {
-                lanes[l] += bx[l] * (bg[l] - bm[l]);
-            }
-        }
-    } else {
-        for (i, ((&xv, &gv), &mv)) in x[..main]
-            .iter()
-            .zip(g[..main].iter())
-            .zip(mean[..main].iter())
-            .enumerate()
-        {
-            lanes[i % LANES] += xv * (gv - mv);
+    for ((bx, bg), bm) in x[..main]
+        .chunks_exact(LANES)
+        .zip(g[..main].chunks_exact(LANES))
+        .zip(mean[..main].chunks_exact(LANES))
+    {
+        for l in 0..LANES {
+            lanes[l] += bx[l] * (bg[l] - bm[l]);
         }
     }
     let mut acc = combine_lanes(lanes, |a, b| a + b);
@@ -342,28 +249,14 @@ const MM_TILE: usize = 2 * LANES;
 /// One output row of `C = A·B`: `out_row[j] = Σ_k a_row[k] · b[k,j]` with
 /// `b` row-major `[k, n]`. `out_row` must be zeroed by the caller.
 ///
-/// The vectorized body tiles the output row into 16-column blocks held in
-/// register accumulator arrays across the whole `k` loop (one load/store
-/// of the output per tile instead of per `k`). Per output element the
-/// accumulation order is strict ascending `k` with the same
-/// skip-zero-`a[k]` guard as the reference loop, so both bodies — and the
-/// pre-existing i-k-j kernel — are bitwise-identical.
+/// The output row is tiled into 16-column blocks held in register
+/// accumulator arrays across the whole `k` loop (one load/store of the
+/// output per tile instead of per `k`). Per output element the
+/// accumulation order is strict ascending `k` with a skip-zero-`a[k]`
+/// guard, so the result is bitwise-identical to the classic i-k-j loop.
 pub fn matmul_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
     debug_assert_eq!(out_row.len(), n);
     debug_assert_eq!(b.len(), a_row.len() * n);
-    if !enabled() {
-        // Scalar reference: classic i-k-j inner loops.
-        for (kk, &a) in a_row.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += a * bv;
-            }
-        }
-        return;
-    }
     let mut j0 = 0;
     while j0 + MM_TILE <= n {
         let mut acc = [0.0f32; MM_TILE];
@@ -399,26 +292,20 @@ pub fn matmul_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
 /// One row of the fused RFF feature: `out[j] = amp · cos(x[j]·w[j] + φ[j])`.
 pub fn cos_feature_row(x: &[f32], w: &[f32], phi: &[f32], amp: f32, out: &mut [f32]) {
     debug_assert_eq!(x.len(), out.len());
-    if enabled() {
-        let mut it = x
-            .chunks_exact(LANES)
-            .zip(w.chunks_exact(LANES))
-            .zip(phi.chunks_exact(LANES))
-            .zip(out.chunks_exact_mut(LANES));
-        for (((xv, wv), pv), o) in &mut it {
-            for l in 0..LANES {
-                o[l] = (xv[l] * wv[l] + pv[l]).cos() * amp;
-            }
+    let mut it = x
+        .chunks_exact(LANES)
+        .zip(w.chunks_exact(LANES))
+        .zip(phi.chunks_exact(LANES))
+        .zip(out.chunks_exact_mut(LANES));
+    for (((xv, wv), pv), o) in &mut it {
+        for l in 0..LANES {
+            o[l] = (xv[l] * wv[l] + pv[l]).cos() * amp;
         }
-        let main = x.len() - x.len() % LANES;
-        for (j, o) in out[main..].iter_mut().enumerate() {
-            let j = main + j;
-            *o = (x[j] * w[j] + phi[j]).cos() * amp;
-        }
-    } else {
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = (x[j] * w[j] + phi[j]).cos() * amp;
-        }
+    }
+    let main = x.len() - x.len() % LANES;
+    for (j, o) in out[main..].iter_mut().enumerate() {
+        let j = main + j;
+        *o = (x[j] * w[j] + phi[j]).cos() * amp;
     }
 }
 
@@ -433,27 +320,21 @@ pub fn cos_feature_grad_row(
     out: &mut [f32],
 ) {
     debug_assert_eq!(x.len(), out.len());
-    if enabled() {
-        let mut it = x
-            .chunks_exact(LANES)
-            .zip(w.chunks_exact(LANES))
-            .zip(phi.chunks_exact(LANES))
-            .zip(g.chunks_exact(LANES))
-            .zip(out.chunks_exact_mut(LANES));
-        for ((((xv, wv), pv), gv), o) in &mut it {
-            for l in 0..LANES {
-                o[l] = -amp * (xv[l] * wv[l] + pv[l]).sin() * wv[l] * gv[l];
-            }
+    let mut it = x
+        .chunks_exact(LANES)
+        .zip(w.chunks_exact(LANES))
+        .zip(phi.chunks_exact(LANES))
+        .zip(g.chunks_exact(LANES))
+        .zip(out.chunks_exact_mut(LANES));
+    for ((((xv, wv), pv), gv), o) in &mut it {
+        for l in 0..LANES {
+            o[l] = -amp * (xv[l] * wv[l] + pv[l]).sin() * wv[l] * gv[l];
         }
-        let main = x.len() - x.len() % LANES;
-        for (j, o) in out[main..].iter_mut().enumerate() {
-            let j = main + j;
-            *o = -amp * (x[j] * w[j] + phi[j]).sin() * w[j] * g[j];
-        }
-    } else {
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = -amp * (x[j] * w[j] + phi[j]).sin() * w[j] * g[j];
-        }
+    }
+    let main = x.len() - x.len() % LANES;
+    for (j, o) in out[main..].iter_mut().enumerate() {
+        let j = main + j;
+        *o = -amp * (x[j] * w[j] + phi[j]).sin() * w[j] * g[j];
     }
 }
 
@@ -461,15 +342,21 @@ pub fn cos_feature_grad_row(
 mod tests {
     use super::*;
 
-    /// Run `f` under both bodies and assert bitwise-equal scalar results.
-    fn both(f: impl Fn() -> f32) -> f32 {
-        let prev = set_enabled(true);
-        let v = f();
-        set_enabled(false);
-        let s = f();
-        set_enabled(prev);
-        assert_eq!(v.to_bits(), s.to_bits(), "vectorized {v} vs scalar {s}");
-        v
+    /// The documented lane schedule, one element at a time: element `i`
+    /// of the main body goes to lane `i % 8`, the lanes combine pairwise,
+    /// then the tail folds in left to right. Every lane reduction must
+    /// match it bitwise.
+    fn reference_fold(terms: &[f32], init: f32, op: impl Fn(f32, f32) -> f32) -> f32 {
+        let main = terms.len() - terms.len() % LANES;
+        let mut lanes = [init; LANES];
+        for (i, &t) in terms[..main].iter().enumerate() {
+            lanes[i % LANES] = op(lanes[i % LANES], t);
+        }
+        let mut acc = combine_lanes(lanes, &op);
+        for &t in &terms[main..] {
+            acc = op(acc, t);
+        }
+        acc
     }
 
     fn data(n: usize) -> Vec<f32> {
@@ -477,20 +364,45 @@ mod tests {
     }
 
     #[test]
-    fn reductions_match_across_bodies_and_lengths() {
+    fn reductions_follow_the_reference_schedule_bitwise() {
         // Lengths straddling the 8-lane boundary, including empty.
         for n in [0usize, 1, 7, 8, 9, 64, 65, 1000] {
             let xs = data(n);
-            let m = data(n).iter().map(|x| x.abs().min(1.0)).collect::<Vec<_>>();
-            both(|| sum(&xs));
-            both(|| sq_sum(&xs));
-            both(|| masked_sq_sum(&xs, &m, 0.7));
-            both(|| max(&xs));
-            if n > 0 {
-                let mx = max(&xs);
-                both(|| sum_shifted_exp(&xs, mx));
+            let m: Vec<f32> = xs.iter().map(|x| x.abs().min(1.0)).collect();
+            let mx = max(&xs);
+            let terms = |f: &dyn Fn(usize) -> f32| (0..n).map(f).collect::<Vec<f32>>();
+            let sq = terms(&|i| xs[i] * xs[i]);
+            let masked = terms(&|i| (0.7 * xs[i] * m[i]) * (0.7 * xs[i] * m[i]));
+            let shifted = terms(&|i| (xs[i] - mx).exp());
+            let centered = terms(&|i| xs[i] * (m[i] - xs[i]));
+            let add = |a: f32, b: f32| a + b;
+            let cases = [
+                ("sum", sum(&xs), reference_fold(&xs, 0.0, add)),
+                ("sq_sum", sq_sum(&xs), reference_fold(&sq, 0.0, add)),
+                (
+                    "masked_sq_sum",
+                    masked_sq_sum(&xs, &m, 0.7),
+                    reference_fold(&masked, 0.0, add),
+                ),
+                ("max", mx, reference_fold(&xs, f32::NEG_INFINITY, f32::max)),
+                (
+                    "sum_shifted_exp",
+                    sum_shifted_exp(&xs, mx),
+                    reference_fold(&shifted, 0.0, add),
+                ),
+                (
+                    "center_dot",
+                    center_dot(&xs, &m, &xs),
+                    reference_fold(&centered, 0.0, add),
+                ),
+            ];
+            for (name, got, want) in cases {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{name} n={n}: {got} vs {want}"
+                );
             }
-            both(|| center_dot(&xs, &m, &xs));
         }
     }
 
@@ -510,28 +422,24 @@ mod tests {
         for n in [0usize, 5, 8, 17, 200] {
             let xs = data(n);
             let expect: Vec<f32> = xs.iter().map(|x| x.cos()).collect();
-            for on in [true, false] {
-                let prev = set_enabled(on);
-                let mut out = vec![0.0; n];
-                map_to(&xs, &mut out, f32::cos);
-                assert_eq!(out, expect);
-                let mut inpl = xs.clone();
-                map_assign(&mut inpl, f32::cos);
-                assert_eq!(inpl, expect);
-                let mut z = vec![0.0; n];
-                zip_to(&xs, &expect, &mut z, |a, b| a * b);
-                let ze: Vec<f32> = xs.iter().zip(&expect).map(|(a, b)| a * b).collect();
-                assert_eq!(z, ze);
-                let mut acc = xs.clone();
-                add_assign(&mut acc, &expect);
-                let ae: Vec<f32> = xs.iter().zip(&expect).map(|(a, b)| a + b).collect();
-                assert_eq!(acc, ae);
-                let mut axv = xs.clone();
-                axpy_assign(&mut axv, 0.5, &expect);
-                let axe: Vec<f32> = xs.iter().zip(&expect).map(|(a, b)| a + 0.5 * b).collect();
-                assert_eq!(axv, axe);
-                set_enabled(prev);
-            }
+            let mut out = vec![0.0; n];
+            map_to(&xs, &mut out, f32::cos);
+            assert_eq!(out, expect);
+            let mut inpl = xs.clone();
+            map_assign(&mut inpl, f32::cos);
+            assert_eq!(inpl, expect);
+            let mut z = vec![0.0; n];
+            zip_to(&xs, &expect, &mut z, |a, b| a * b);
+            let ze: Vec<f32> = xs.iter().zip(&expect).map(|(a, b)| a * b).collect();
+            assert_eq!(z, ze);
+            let mut acc = xs.clone();
+            add_assign(&mut acc, &expect);
+            let ae: Vec<f32> = xs.iter().zip(&expect).map(|(a, b)| a + b).collect();
+            assert_eq!(acc, ae);
+            let mut axv = xs.clone();
+            axpy_assign(&mut axv, 0.5, &expect);
+            let axe: Vec<f32> = xs.iter().zip(&expect).map(|(a, b)| a + 0.5 * b).collect();
+            assert_eq!(axv, axe);
         }
     }
 
@@ -551,25 +459,11 @@ mod tests {
                     reference[j] += av * b[kk * n + j];
                 }
             }
-            for on in [true, false] {
-                let prev = set_enabled(on);
-                let mut out = vec![0.0f32; n];
-                matmul_row(&a, &b, n, &mut out);
-                for (o, r) in out.iter().zip(reference.iter()) {
-                    assert_eq!(o.to_bits(), r.to_bits(), "simd={on} k={k} n={n}");
-                }
-                set_enabled(prev);
+            let mut out = vec![0.0f32; n];
+            matmul_row(&a, &b, n, &mut out);
+            for (o, r) in out.iter().zip(reference.iter()) {
+                assert_eq!(o.to_bits(), r.to_bits(), "k={k} n={n}");
             }
         }
-    }
-
-    #[test]
-    fn set_enabled_round_trips() {
-        let prev = enabled();
-        assert_eq!(set_enabled(false), prev);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(prev);
     }
 }

@@ -1,49 +1,42 @@
-//! Bitwise-determinism contract for the vectorized (SIMD) and CSR kernel
+//! Bitwise-determinism contract for the vectorized and CSR kernel
 //! families: every kernel must produce **identical bits** across the full
-//! configuration grid `OOD_THREADS={1,2,4}` × `OOD_POOL={0,1}` ×
-//! `OOD_SIMD={on,off}` — twelve configurations per case, compared with no
-//! tolerance. The simd-off runs execute the scalar-reference twins, so
-//! these tests also prove the vectorized bodies implement exactly the
-//! documented fixed-order accumulation schedule. Gradients ride along
-//! with forward values, and the edge cases that broke naive scatter
+//! configuration grid `OOD_THREADS={1,2,4}` × `OOD_POOL={0,1}` — six
+//! configurations per case, compared with no tolerance. Gradients ride
+//! along with forward values, and the edge cases that broke naive scatter
 //! implementations (empty segments, collision-heavy indices, degenerate
-//! −∞ rows, sub-lane-width tails) are pinned explicitly.
+//! −∞ rows, sub-lane-width tails) are pinned explicitly. The lane
+//! schedule itself is pinned by the unit tests in `simd.rs`.
 
 use ood_tensor::rng::Rng;
-use ood_tensor::{csr, par, pool, simd, Tape, Tensor};
+use ood_tensor::{csr, par, pool, Tape, Tensor};
 use std::rc::Rc;
 use std::sync::Mutex;
 
-/// `par::set_threads`, `pool::set_enabled` and `simd::set_enabled` are
-/// process-global; serialize tests touching them.
+/// `par::set_threads` and `pool::set_enabled` are process-global;
+/// serialize tests touching them.
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
-/// Run `f` across the full thread × pool × simd grid and assert all
-/// twelve outputs match the (t=1, pool on, simd on) reference bitwise.
+/// Run `f` across the full thread × pool grid and assert all six outputs
+/// match the (t=1, pool on) reference bitwise.
 fn bitwise_across_grid(name: &str, f: impl Fn() -> Vec<f32>) {
     let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     par::set_threads(1);
     pool::set_enabled(true);
-    simd::set_enabled(true);
     let reference: Vec<u32> = f().iter().map(|x| x.to_bits()).collect();
     assert!(!reference.is_empty(), "{name}: case produced no output");
     for threads in [1usize, 2, 4] {
         for pool_on in [false, true] {
-            for simd_on in [false, true] {
-                par::set_threads(threads);
-                pool::set_enabled(pool_on);
-                simd::set_enabled(simd_on);
-                let got: Vec<u32> = f().iter().map(|x| x.to_bits()).collect();
-                assert_eq!(
-                    reference, got,
-                    "{name}: t={threads} pool={pool_on} simd={simd_on} differs bitwise"
-                );
-            }
+            par::set_threads(threads);
+            pool::set_enabled(pool_on);
+            let got: Vec<u32> = f().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(
+                reference, got,
+                "{name}: t={threads} pool={pool_on} differs bitwise"
+            );
         }
     }
     par::set_threads(par::max_threads());
     pool::set_enabled(true);
-    simd::set_enabled(true);
 }
 
 /// Forward value + every leaf gradient, concatenated, so one comparison
@@ -70,7 +63,7 @@ fn value_and_grads(
 fn matmul_microkernel_is_grid_invariant() {
     let mut rng = Rng::seed_from(41);
     // 41 columns: two full 16-wide tiles plus a 9-column tail; zeros in A
-    // exercise the skip guard on both bodies.
+    // exercise the skip guard.
     let mut a = Tensor::randn([97, 53], &mut rng);
     for v in a.data_mut().iter_mut().step_by(17) {
         *v = 0.0;

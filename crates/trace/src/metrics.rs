@@ -43,30 +43,18 @@ impl Histogram {
     }
 
     /// Summary statistics `(count, mean, min, max, p50, p95, p99)`.
-    pub fn summary(&self) -> Option<HistSummary> {
-        if self.samples.is_empty() {
-            return None;
-        }
+    pub fn summary(&self) -> Option<Summary> {
         let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        let count = sorted.len();
-        let mean = sorted.iter().sum::<f64>() / count as f64;
-        Some(HistSummary {
-            count,
-            mean,
-            min: sorted[0],
-            max: sorted[count - 1],
-            p50: quantile_sorted(&sorted, 0.50),
-            p95: quantile_sorted(&sorted, 0.95),
-            p99: quantile_sorted(&sorted, 0.99),
-        })
+        Summary::of(&mut sorted)
     }
 }
 
-/// Summary of a histogram window.
+/// Count, mean, extremes and p50/p95/p99 of a sample set: the one summary
+/// shape shared by [`Histogram`] and the rolling
+/// [`crate::window::SampleWindow`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct HistSummary {
-    /// Number of samples in the window.
+pub struct Summary {
+    /// Number of samples.
     pub count: usize,
     /// Arithmetic mean.
     pub mean: f64,
@@ -82,7 +70,28 @@ pub struct HistSummary {
     pub p99: f64,
 }
 
-/// Linearly interpolated quantile of an ascending-sorted non-empty slice.
+impl Summary {
+    /// Sort `samples` in place and summarize them; `None` when empty.
+    pub fn of(samples: &mut [f64]) -> Option<Summary> {
+        if samples.is_empty() {
+            return None;
+        }
+        samples.sort_by(f64::total_cmp);
+        let count = samples.len();
+        Some(Summary {
+            count,
+            mean: samples.iter().sum::<f64>() / count as f64,
+            min: samples[0],
+            max: samples[count - 1],
+            p50: quantile_sorted(samples, 0.50),
+            p95: quantile_sorted(samples, 0.95),
+            p99: quantile_sorted(samples, 0.99),
+        })
+    }
+}
+
+/// Linearly interpolated quantile of an ascending-sorted non-empty slice;
+/// `q` is clamped to `[0, 1]`.
 fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     let n = sorted.len();
     if n == 1 {

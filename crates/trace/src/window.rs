@@ -22,24 +22,7 @@
 //! clock the caller owns), never read internally: windows are observability
 //! only, deterministic to test, and can replay recorded traces.
 
-/// Summary of the live (unexpired) samples in a [`SampleWindow`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowSummary {
-    /// Live samples in the window.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Smallest live sample.
-    pub min: f64,
-    /// Largest live sample.
-    pub max: f64,
-    /// Median.
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-}
+use crate::metrics::Summary;
 
 /// A fixed-capacity ring of timestamped samples with expiry: the rolling
 /// twin of [`crate::metrics::Histogram`]. Also serves as a windowed gauge
@@ -128,37 +111,15 @@ impl SampleWindow {
     /// Summary statistics over the live samples at `now_us`; `None` when
     /// the window is empty. Allocates a scratch sort buffer — use
     /// [`SampleWindow::summary_with`] on hot paths that keep one around.
-    pub fn summary(&self, now_us: u64) -> Option<WindowSummary> {
+    pub fn summary(&self, now_us: u64) -> Option<Summary> {
         let mut scratch = Vec::with_capacity(self.len);
         self.summary_with(now_us, &mut scratch)
     }
 
     /// [`SampleWindow::summary`] reusing a caller-owned scratch buffer.
-    pub fn summary_with(&self, now_us: u64, scratch: &mut Vec<f64>) -> Option<WindowSummary> {
-        if self.live_into(now_us, scratch) == 0 {
-            return None;
-        }
-        scratch.sort_by(f64::total_cmp);
-        let n = scratch.len();
-        let q = |q: f64| -> f64 {
-            if n == 1 {
-                return scratch[0];
-            }
-            let pos = q.clamp(0.0, 1.0) * (n - 1) as f64;
-            let lo = pos.floor() as usize;
-            let hi = pos.ceil() as usize;
-            let frac = pos - lo as f64;
-            scratch[lo] * (1.0 - frac) + scratch[hi] * frac
-        };
-        Some(WindowSummary {
-            count: n,
-            mean: scratch.iter().sum::<f64>() / n as f64,
-            min: scratch[0],
-            max: scratch[n - 1],
-            p50: q(0.50),
-            p95: q(0.95),
-            p99: q(0.99),
-        })
+    pub fn summary_with(&self, now_us: u64, scratch: &mut Vec<f64>) -> Option<Summary> {
+        self.live_into(now_us, scratch);
+        Summary::of(scratch)
     }
 }
 

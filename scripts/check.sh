@@ -70,7 +70,7 @@ OOD_BENCH_FAST=1 cargo run -p bench --release --bin threads_sweep -- --json - >/
 echo "== memory sweep smoke (pool neutrality + allocation reduction)"
 OOD_BENCH_FAST=1 cargo run -p bench --release --bin mem_sweep -- --json - >/dev/null || status=1
 
-echo "== kernel sweep smoke (bitwise simd-vs-scalar gate + per-kernel speedups)"
+echo "== kernel sweep smoke (per-kernel timing and output digests)"
 OOD_BENCH_FAST=1 cargo run -p bench --release --bin kernel_sweep -- --json - >/dev/null || status=1
 
 echo "== perf gate (baseline regression check at t=1 and t=4)"
