@@ -18,7 +18,8 @@ use std::rc::Rc;
 use tensor::csr::CsrIndex;
 use tensor::fnv::Fnv1a;
 use tensor::rng::Rng;
-use tensor::{Tape, Tensor};
+use tensor::shape::reduce_grad_to;
+use tensor::{Shape, Tape, Tensor};
 
 /// One timed kernel: a name and a closure producing the full output
 /// buffer.
@@ -96,6 +97,18 @@ fn cases() -> Vec<Case> {
         v.push(Case {
             name: "sum_rows_512x128",
             run: Box::new(move || x.sum_rows().into_vec()),
+        });
+    }
+
+    // Backward broadcast reduction: the column fold of a bias gradient
+    // over a D&D-sized batch (ascending rows, vectorized across columns).
+    {
+        let mut rng = Rng::seed_from(10);
+        let g = Tensor::randn([5400, 32], &mut rng);
+        let target = Shape::new(&[32]);
+        v.push(Case {
+            name: "reduce_grad_5400x32",
+            run: Box::new(move || reduce_grad_to(&g, &target).into_vec()),
         });
     }
 

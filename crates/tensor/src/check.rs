@@ -214,6 +214,34 @@ mod tests {
     }
 
     #[test]
+    fn gradcheck_sub_mul_div_broadcast_either_side() {
+        let mut rng = Rng::seed_from(14);
+        for small in [&[4][..], &[1, 4], &[3, 1], &[1]] {
+            for small_first in [false, true] {
+                // Values in [0.5, 2] keep every denominator away from zero.
+                let m = Tensor::rand_uniform([3, 4], 0.5, 2.0, &mut rng);
+                let v = Tensor::rand_uniform(small, 0.5, 2.0, &mut rng);
+                let inputs = if small_first { [v, m] } else { [m, v] };
+                for (name, op) in
+                    ["sub", "mul", "div"]
+                        .into_iter()
+                        .zip([Tape::sub, Tape::mul, Tape::div])
+                {
+                    let res = check_gradients(&inputs, 1e-3, |t, ids| {
+                        let o = op(t, ids[0], ids[1]);
+                        let sq = t.square(o);
+                        t.sum(sq)
+                    });
+                    assert!(
+                        res.within(2e-2),
+                        "{name} with {small:?} first={small_first}: {res:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn gradcheck_segment_max() {
         let x = rand([5, 2], 10);
         let seg = Rc::new(vec![0usize, 0, 1, 1, 1]);

@@ -11,7 +11,7 @@ use crate::csr::{self, CsrIndex};
 use crate::par;
 use crate::pool;
 use crate::profile::Kernel;
-use crate::shape::{broadcast_shapes, reduce_grad_to, Shape};
+use crate::shape::{broadcast_shapes, fold_grad_to, reduce_grad_to, Shape};
 use crate::simd;
 use crate::tape::{NodeId, Tape};
 use crate::tensor::Tensor;
@@ -20,6 +20,22 @@ use std::rc::Rc;
 /// Rows per chunk for row-wise kernels, scaled by the row width.
 fn row_grain(cols: usize) -> usize {
     (4096 / cols.max(1)).max(1)
+}
+
+/// The gradient reaching operand `y` of a broadcasting binary op whose
+/// other operand is `x`: `term(g, x)` at every output element, summed
+/// down to `y`'s shape when `y` was broadcast.
+fn operand_grad(
+    grad: &Tensor,
+    x: &Tensor,
+    y: &Tensor,
+    term: impl Fn(f32, f32) -> f32 + Sync,
+) -> Tensor {
+    if y.shape() == grad.shape() {
+        grad.zip_broadcast(x, term)
+    } else {
+        fold_grad_to(grad, x, y, |g, xx, _| term(g, xx))
+    }
 }
 
 /// Axis selector for matrix reductions.
@@ -241,31 +257,37 @@ impl Op {
             ],
             Op::Sub(a, b) => vec![
                 (*a, reduce_grad_to(grad, v(a).shape())),
-                (*b, reduce_grad_to(&grad.map(|x| -x), v(b).shape())),
+                (*b, operand_grad(grad, grad, v(b), |g, _| -g)),
             ],
             Op::Mul(a, b) => {
-                let ga = grad.zip_broadcast(v(b), |g, bb| g * bb);
-                let gb = grad.zip_broadcast(v(a), |g, aa| g * aa);
+                let (va, vb) = (v(a), v(b));
                 vec![
-                    (*a, reduce_grad_to(&ga, v(a).shape())),
-                    (*b, reduce_grad_to(&gb, v(b).shape())),
+                    (*a, operand_grad(grad, vb, va, |g, bb| g * bb)),
+                    (*b, operand_grad(grad, va, vb, |g, aa| g * aa)),
                 ]
             }
             Op::Div(a, b) => {
-                let ga = grad.zip_broadcast(v(b), |g, bb| g / bb);
-                let gnum = grad.zip_broadcast(v(a), |g, aa| g * aa);
-                let gb = gnum.zip_broadcast(v(b), |t, bb| -t / (bb * bb));
-                vec![
-                    (*a, reduce_grad_to(&ga, v(a).shape())),
-                    (*b, reduce_grad_to(&gb, v(b).shape())),
-                ]
+                let (va, vb) = (v(a), v(b));
+                // An unbroadcast `b` has nothing to fold.
+                let gb = if vb.shape() == grad.shape() {
+                    let gnum = grad.zip_broadcast(va, |g, aa| g * aa);
+                    gnum.zip_broadcast(vb, |t, bb| -t / (bb * bb))
+                } else {
+                    fold_grad_to(grad, va, vb, |g, aa, bb| -(g * aa) / (bb * bb))
+                };
+                vec![(*a, operand_grad(grad, vb, va, |g, bb| g / bb)), (*b, gb)]
             }
             Op::Neg(a) => vec![(*a, grad.map(|x| -x))],
             Op::AddScalar(a, _) => vec![(*a, grad.clone())],
             Op::MulScalar(a, c) => vec![(*a, grad.mul_scalar(*c))],
             Op::PowScalar(a, p) => {
                 let x = v(a);
-                let g = grad.zip_broadcast(x, |g, x| g * p * x.powf(p - 1.0));
+                // powf(x, 1.0) == x for every x, so squares skip the powf.
+                let g = if *p == 2.0 {
+                    grad.zip_broadcast(x, |g, x| g * p * x)
+                } else {
+                    grad.zip_broadcast(x, |g, x| g * p * x.powf(p - 1.0))
+                };
                 vec![(*a, g)]
             }
             Op::Matmul(a, b) => {
@@ -451,27 +473,21 @@ fn sum_axis(x: &Tensor, axis: Axis) -> Tensor {
 /// Spread a reduced vector gradient back over the matrix shape, scaled.
 fn spread_axis(grad: &Tensor, input_shape: &Shape, axis: Axis, scale: f32) -> Tensor {
     let (r, c) = input_shape.as_matrix();
-    let mut out = Tensor::zeros([r, c]);
-    let od = out.data_mut();
-    match axis {
-        Axis::Rows => {
-            debug_assert_eq!(grad.numel(), c);
-            for i in 0..r {
-                for j in 0..c {
-                    od[i * c + j] = grad.data()[j] * scale;
-                }
-            }
-        }
-        Axis::Cols => {
-            debug_assert_eq!(grad.numel(), r);
-            for i in 0..r {
-                for j in 0..c {
-                    od[i * c + j] = grad.data()[i] * scale;
-                }
-            }
-        }
-    }
-    out
+    let gd = grad.data();
+    debug_assert_eq!(gd.len(), if axis == Axis::Rows { c } else { r });
+    let mut out = pool::take_raw(r * c);
+    par::for_each_row(
+        &mut out,
+        r,
+        c,
+        row_grain(c),
+        Kernel::Elementwise,
+        |i, row| match axis {
+            Axis::Rows => simd::map_to(gd, row, |g| g * scale),
+            Axis::Cols => row.fill(gd[i] * scale),
+        },
+    );
+    Tensor::from_vec(out, [r, c])
 }
 
 fn concat_cols(parts: &[&Tensor]) -> Tensor {

@@ -331,6 +331,17 @@ pub fn for_each_chunk_weighted(
     profile::record_parallel(kernel, chunks, start.elapsed().as_nanos() as u64);
 }
 
+/// Run `f` on the calling thread, timed as one single-chunk region of
+/// `kernel`. For folds whose fixed accumulation order admits no chunking
+/// (the backward broadcast reductions), so their time is still
+/// attributed to a kernel family.
+pub(crate) fn sequential<T>(kernel: Kernel, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    profile::record_parallel(kernel, 1, start.elapsed().as_nanos() as u64);
+    out
+}
+
 /// Chunked map: compute one partial per deterministic chunk (in parallel)
 /// and return them **in chunk order**, ready for a fixed-order reduction.
 pub fn map_chunks<T: Send>(

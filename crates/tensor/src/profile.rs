@@ -164,7 +164,8 @@ pub(crate) fn release_bytes(bytes: u64) {
 /// Hook called by [`crate::par`] once per multi-chunk region. Regions are
 /// timed at every thread count — including the sequential `t=1` path — so
 /// per-kernel tables compare like-for-like across `OOD_THREADS`;
-/// single-chunk problems are never counted.
+/// single-chunk problems of chunked kernels are never counted. The
+/// unchunkable folds of `par::sequential` count as one-chunk regions.
 #[inline]
 pub(crate) fn record_parallel(kernel: Kernel, chunks: usize, nanos: u64) {
     let k = kernel as usize;
@@ -193,8 +194,9 @@ pub struct ProfileSnapshot {
     /// Active thread count of the parallel execution layer.
     pub threads: u64,
     /// Multi-chunk regions executed per kernel family, indexed like
-    /// [`KERNEL_NAMES`]. Timed at every thread count (single-chunk
-    /// problems are not counted).
+    /// [`KERNEL_NAMES`], plus the one-chunk sequential folds. Timed at
+    /// every thread count (single-chunk problems of chunked kernels are
+    /// not counted).
     pub par_regions: [u64; N_KERNELS],
     /// Chunks dispatched across all parallel regions, per kernel family.
     pub par_chunks: [u64; N_KERNELS],

@@ -1,5 +1,10 @@
 //! Shapes, strides and NumPy-style broadcasting rules.
 
+use crate::par;
+use crate::pool;
+use crate::profile::Kernel;
+use crate::simd;
+use crate::Tensor;
 use std::fmt;
 
 /// The shape of a tensor: a list of dimension sizes, row-major.
@@ -163,39 +168,102 @@ impl BroadcastMap {
     }
 }
 
-/// Given a gradient tensor shaped like the broadcast output, sum it back down
-/// to `target` shape (the shape of one of the broadcast inputs). Used by the
-/// backward pass of every broadcasting binary op.
-pub(crate) fn reduce_grad_to(grad: &crate::Tensor, target: &Shape) -> crate::Tensor {
+/// Sum a gradient shaped like a broadcast output back down to `target`,
+/// the shape of one of the broadcast inputs. Used by the backward pass of
+/// broadcasting add and subtract.
+pub fn reduce_grad_to(grad: &Tensor, target: &Shape) -> Tensor {
     if grad.shape() == target {
         return grad.clone();
     }
-    let gs = grad.shape().clone();
-    let r = gs.rank();
-    let rt = target.rank();
-    let mut out = crate::Tensor::zeros(target.clone());
-    let g_strides = gs.strides();
-    let t_strides = target.strides();
-    let n = gs.numel();
-    for lin in 0..n {
-        // Decompose `lin` into coordinates of the grad shape and fold the
-        // coordinate into the target index, treating missing/size-1 target
-        // dims as broadcast (stride 0).
-        let mut rem = lin;
-        let mut ti = 0usize;
-        for (i, &gs) in g_strides.iter().enumerate() {
-            let coord = rem.checked_div(gs).unwrap_or(0);
-            rem -= coord * gs;
-            if i >= r - rt {
-                let td = i - (r - rt);
-                if target.0[td] != 1 {
-                    ti += coord * t_strides[td];
-                }
-            }
-        }
-        out.data_mut()[ti] += grad.data()[lin];
+    // The zeros only carry `target`'s shape: this term never reads them.
+    fold_grad_to(grad, grad, &Tensor::zeros(target.clone()), |g, _, _| g)
+}
+
+/// The gradient reaching operand `y` of a broadcasting binary op whose
+/// other operand is `x`: output element `k` adds `term(grad[k], x[kx],
+/// y[ky])` to slot `ky` of a `y`-shaped result, where `kx` and `ky` are
+/// the elements of `x` and `y` that `k` was broadcast from.
+///
+/// Every slot starts at `0.0` and folds its terms in ascending order of
+/// `k`. The shape-specialised folds keep that order, so they give the
+/// same bits as the generic loop. Timed under [`Kernel::Reduce`].
+pub(crate) fn fold_grad_to(
+    grad: &Tensor,
+    x: &Tensor,
+    y: &Tensor,
+    term: impl Fn(f32, f32, f32) -> f32,
+) -> Tensor {
+    par::sequential(Kernel::Reduce, || {
+        fold_fast(grad, x, y, &term).unwrap_or_else(|| fold_generic(grad, x, y, &term))
+    })
+}
+
+/// The vectorized folds, for an `x` of `grad`'s shape and a `y` that is
+/// one element, or the row shape `[c]`/`[1, c]` or column shape `[r, 1]`
+/// of a `[r, c]` grad. `None` for any other shapes.
+fn fold_fast(
+    grad: &Tensor,
+    x: &Tensor,
+    y: &Tensor,
+    term: &impl Fn(f32, f32, f32) -> f32,
+) -> Option<Tensor> {
+    if x.shape() != grad.shape() {
+        return None;
     }
-    out
+    let (g, xs, ys) = (grad.data(), x.data(), y.data());
+    if let &[y0] = ys {
+        let mut out = pool::take_raw(1);
+        out[0] = g
+            .iter()
+            .zip(xs)
+            .fold(0.0, |acc, (&gk, &xk)| acc + term(gk, xk, y0));
+        return Some(Tensor::from_vec(out, y.shape().clone()));
+    }
+    let &[r, c] = grad.shape().dims() else {
+        return None;
+    };
+    if c == 0 {
+        return None;
+    }
+    let yd = y.shape().dims();
+    let out = if yd == [c] || yd == [1, c] {
+        let mut out = pool::take_zeroed(c);
+        for (gr, xr) in g.chunks_exact(c).zip(xs.chunks_exact(c)) {
+            simd::add_terms(&mut out, gr, xr, ys, term);
+        }
+        out
+    } else if yd == [r, 1] {
+        let mut out = pool::take_raw(r);
+        let rows = g.chunks_exact(c).zip(xs.chunks_exact(c)).zip(ys);
+        for (o, ((gr, xr), &yi)) in out.iter_mut().zip(rows) {
+            *o = gr
+                .iter()
+                .zip(xr)
+                .fold(0.0, |acc, (&gk, &xk)| acc + term(gk, xk, yi));
+        }
+        out
+    } else {
+        return None;
+    };
+    Some(Tensor::from_vec(out, y.shape().clone()))
+}
+
+/// The generic fold: maps each output element to its `x` and `y`
+/// elements through a [`BroadcastMap`].
+fn fold_generic(
+    grad: &Tensor,
+    x: &Tensor,
+    y: &Tensor,
+    term: &impl Fn(f32, f32, f32) -> f32,
+) -> Tensor {
+    let map = BroadcastMap::new(x.shape(), y.shape(), grad.shape());
+    let (xs, ys) = (x.data(), y.data());
+    let mut out = pool::take_zeroed(ys.len());
+    for (k, &gk) in grad.data().iter().enumerate() {
+        let (kx, ky) = map.map(k);
+        out[ky] += term(gk, xs[kx], ys[ky]);
+    }
+    Tensor::from_vec(out, y.shape().clone())
 }
 
 #[cfg(test)]
@@ -287,5 +355,88 @@ mod tests {
         let g = crate::Tensor::from_vec(vec![1., 2., 3., 4.], [2, 2]);
         let r = reduce_grad_to(&g, &Shape::scalar());
         assert_eq!(r.data(), &[10.]);
+    }
+
+    /// Normal values of mixed magnitude (so summation order shows in the
+    /// bits), sprinkled with −0.0, ±inf, NaN and subnormals.
+    fn awkward(shape: &[usize], rng: &mut crate::rng::Rng) -> Tensor {
+        let special = [
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            1e-40,
+            -3e-39,
+            f32::MIN_POSITIVE / 4.0,
+        ];
+        let shape = Shape::new(shape);
+        let data = (0..shape.numel())
+            .map(|_| match rng.below(64) {
+                0 => special[rng.below(special.len())],
+                1..=6 => [-0.0, 1e-40, -3e-39][rng.below(3)],
+                _ => rng.normal() * [1e-3, 1.0, 1e4][rng.below(3)],
+            })
+            .collect();
+        Tensor::from_vec(data, shape)
+    }
+
+    /// Bit patterns, with every NaN as one canonical NaN: IEEE 754 and
+    /// Rust leave the sign and payload of a NaN result unspecified, and
+    /// the compiler may commute an addition of two NaNs.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data()
+            .iter()
+            .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn fold_fast_paths_match_generic_loop_bitwise() {
+        let mut rng = crate::rng::Rng::seed_from(14);
+        let terms: [&dyn Fn(f32, f32, f32) -> f32; 3] =
+            [&|g, _, _| g, &|g, x, _| g * x, &|g, x, y| {
+                -(g * x) / (y * y)
+            }];
+        for r in [0, 1, 7, 8, 9, 65, 1000] {
+            for c in [1, 7, 8, 32, 33] {
+                let grad = awkward(&[r, c], &mut rng);
+                let x = awkward(&[r, c], &mut rng);
+                let targets: [&[usize]; 5] = [&[c], &[1, c], &[r, 1], &[1], &[]];
+                for target in targets {
+                    let y = awkward(target, &mut rng);
+                    for (i, term) in terms.iter().enumerate() {
+                        let fast = fold_fast(&grad, &x, &y, term)
+                            .unwrap_or_else(|| panic!("[{r},{c}] -> {target:?} has no fast path"));
+                        let generic = fold_generic(&grad, &x, &y, term);
+                        assert_eq!(fast.shape(), y.shape());
+                        assert_eq!(
+                            bits(&fast),
+                            bits(&generic),
+                            "[{r},{c}] -> {target:?}, term {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_falls_back_for_other_shapes() {
+        let mut rng = crate::rng::Rng::seed_from(15);
+        let term = |g: f32, x: f32, _| g * x;
+        // `x` broadcast as well: only the generic loop handles it.
+        let grad = awkward(&[4, 3], &mut rng);
+        let (x, y) = (awkward(&[4, 1], &mut rng), awkward(&[1, 3], &mut rng));
+        assert!(fold_fast(&grad, &x, &y, &term).is_none());
+        let folded = fold_grad_to(&grad, &x, &y, term);
+        assert_eq!(bits(&folded), bits(&fold_generic(&grad, &x, &y, &term)));
+        // A rank-3 grad folded to a row shape.
+        let grad = awkward(&[2, 3, 4], &mut rng);
+        let y = awkward(&[3, 4], &mut rng);
+        assert!(fold_fast(&grad, &grad, &y, &term).is_none());
+        let g = Tensor::from_vec((0..24).map(|v| v as f32).collect(), [2, 3, 4]);
+        // Slot b sums 12a + 4b + k over a < 2, k < 4.
+        let r = reduce_grad_to(&g, &Shape::new(&[3, 1]));
+        assert_eq!(r.data(), &[60., 92., 124.]);
     }
 }

@@ -100,6 +100,38 @@ pub fn add_assign(acc: &mut [f32], x: &[f32]) {
     }
 }
 
+/// `acc[i] += term(g[i], x[i], y[i])`: one row of a backward broadcast
+/// fold. Each term is rounded before it is added, exactly as if it had
+/// been materialized first.
+pub fn add_terms(
+    acc: &mut [f32],
+    g: &[f32],
+    x: &[f32],
+    y: &[f32],
+    term: impl Fn(f32, f32, f32) -> f32,
+) {
+    debug_assert!(acc.len() == g.len() && acc.len() == x.len() && acc.len() == y.len());
+    let mut it = acc
+        .chunks_exact_mut(LANES)
+        .zip(g.chunks_exact(LANES))
+        .zip(x.chunks_exact(LANES))
+        .zip(y.chunks_exact(LANES));
+    for (((a, gv), xv), yv) in &mut it {
+        for l in 0..LANES {
+            a[l] += term(gv[l], xv[l], yv[l]);
+        }
+    }
+    let main = acc.len() - acc.len() % LANES;
+    for (((a, gv), xv), yv) in acc[main..]
+        .iter_mut()
+        .zip(&g[main..])
+        .zip(&x[main..])
+        .zip(&y[main..])
+    {
+        *a += term(*gv, *xv, *yv);
+    }
+}
+
 /// `acc[i] += alpha * x[i]`.
 pub fn axpy_assign(acc: &mut [f32], alpha: f32, x: &[f32]) {
     debug_assert_eq!(acc.len(), x.len());
