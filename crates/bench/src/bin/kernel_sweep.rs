@@ -52,6 +52,19 @@ fn cases() -> Vec<Case> {
         });
     }
 
+    // The GIN update matmul on a D&D-sized batch: ReLU output against a
+    // 32×32 weight, half of A zero (the guard-free body has no branch on
+    // them).
+    {
+        let mut rng = Rng::seed_from(11);
+        let a = Tensor::randn([5400, 32], &mut rng).map(|x| x.max(0.0));
+        let b = Tensor::randn([32, 32], &mut rng);
+        v.push(Case {
+            name: "matmul_relu_5400x32",
+            run: Box::new(move || a.matmul(&b).into_vec()),
+        });
+    }
+
     // Elementwise map (unrolled 8-lane body + scalar tail).
     {
         let mut rng = Rng::seed_from(2);
@@ -137,6 +150,20 @@ fn cases() -> Vec<Case> {
         v.push(Case {
             name: "scatter_csr_8192to512x64",
             run: Box::new(move || x.scatter_add_rows_csr(&csr).into_vec()),
+        });
+    }
+
+    // Fused GIN neighbour sum: 27000 random edges over 5400 nodes, no
+    // message tensor (gather and scatter in one CSR walk).
+    {
+        let mut rng = Rng::seed_from(12);
+        let x = Tensor::randn([5400, 32], &mut rng);
+        let src: Vec<usize> = (0..27_000).map(|_| rng.below(5400)).collect();
+        let dst: Vec<usize> = (0..27_000).map(|_| rng.below(5400)).collect();
+        let csr = CsrIndex::build(&dst, 5400);
+        v.push(Case {
+            name: "neighbor_sum_5400x32",
+            run: Box::new(move || x.gather_scatter_csr(&src, &csr).into_vec()),
         });
     }
 

@@ -48,8 +48,7 @@ impl Conv for GinConv {
         _rng: &mut Rng,
     ) -> NodeId {
         let n = batch.num_nodes();
-        let msgs = tape.index_select(x, batch.edge_src.clone());
-        let agg = tape.scatter_add_rows(msgs, batch.edge_dst.clone(), n);
+        let agg = tape.neighbor_sum(x, batch.edge_src.clone(), batch.edge_dst.clone(), n);
         let eps = self.eps.bind(tape);
         let one_plus_eps = tape.add_scalar(eps, 1.0);
         let scaled = tape.mul(x, one_plus_eps);
@@ -104,8 +103,7 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.leaf(batch.features.clone());
         // Recreate the combination manually to validate the message sums.
-        let msgs = tape.index_select(x, batch.edge_src.clone());
-        let agg = tape.scatter_add_rows(msgs, batch.edge_dst.clone(), 3);
+        let agg = tape.neighbor_sum(x, batch.edge_src.clone(), batch.edge_dst.clone(), 3);
         let v = tape.value(agg);
         // Node 1 receives x0 + x2 = (1+5, 2+6).
         assert_eq!(v.row(1), &[6.0, 8.0]);

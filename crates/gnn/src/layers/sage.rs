@@ -44,8 +44,7 @@ impl Conv for SageConv {
         _rng: &mut Rng,
     ) -> NodeId {
         let n = batch.num_nodes();
-        let msgs = tape.index_select(x, batch.edge_src.clone());
-        let mean = tape.segment_mean(msgs, batch.edge_dst.clone(), n);
+        let mean = tape.neighbor_mean(x, batch.edge_src.clone(), batch.edge_dst.clone(), n);
         let cat = tape.concat_cols(&[x, mean]);
         let h = self.linear.forward(tape, cat);
         let h = tape.relu(h);

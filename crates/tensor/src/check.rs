@@ -186,6 +186,22 @@ mod tests {
     }
 
     #[test]
+    fn gradcheck_neighbor_sum() {
+        // Self-loop (2→2), duplicate edge (0→1 twice), isolated node 4.
+        let x = rand([5, 3], 9);
+        let w = rand([5, 3], 10);
+        let src = Rc::new(vec![0usize, 0, 1, 2, 3]);
+        let dst = Rc::new(vec![1usize, 1, 0, 2, 2]);
+        assert_gradients(&[x], 1e-2, 2e-2, move |t, ids| {
+            let agg = t.neighbor_sum(ids[0], src.clone(), dst.clone(), 5);
+            let weights = t.constant(w.clone());
+            let h = t.mul(agg, weights);
+            let h = t.tanh(h);
+            t.sum(h)
+        });
+    }
+
+    #[test]
     fn gradcheck_axis_reductions() {
         let x = rand([3, 4], 8);
         assert_gradients(std::slice::from_ref(&x), 1e-2, 2e-2, |t, ids| {

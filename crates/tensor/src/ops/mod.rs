@@ -109,6 +109,10 @@ pub enum Op {
     IndexSelect(NodeId, Rc<Vec<usize>>),
     /// Row scatter-add: `out[idx[i]] += in[i]` into `num_rows` rows.
     ScatterAddRows(NodeId, Rc<Vec<usize>>, usize),
+    /// Fused message passing `out[dst[e]] += in[src[e]]` into `num_rows`
+    /// rows — `IndexSelect(src)` then `ScatterAddRows(dst)` without the
+    /// `[E, c]` message tensor.
+    NeighborSum(NodeId, Rc<Vec<usize>>, Rc<Vec<usize>>, usize),
     /// Per-segment max over rows (empty segments produce 0).
     SegmentMax(NodeId, Rc<Vec<usize>>, usize),
     /// Per-segment min over rows (empty segments produce 0).
@@ -163,6 +167,7 @@ impl Op {
             | Op::SliceRows(a, _, _)
             | Op::IndexSelect(a, _)
             | Op::ScatterAddRows(a, _, _)
+            | Op::NeighborSum(a, _, _, _)
             | Op::SegmentMax(a, _, _)
             | Op::SegmentMin(a, _, _)
             | Op::LogSoftmax(a)
@@ -227,6 +232,7 @@ impl Op {
             }
             Op::IndexSelect(a, idx) => v(a).index_select_rows(idx),
             Op::ScatterAddRows(a, idx, n) => v(a).scatter_add_rows_csr(&csr::cached(idx, *n)),
+            Op::NeighborSum(a, src, dst, n) => v(a).gather_scatter_csr(src, &csr::cached(dst, *n)),
             Op::SegmentMax(a, seg, n) => segment_extreme(v(a), &csr::cached(seg, *n), true).0,
             Op::SegmentMin(a, seg, n) => segment_extreme(v(a), &csr::cached(seg, *n), false).0,
             Op::LogSoftmax(a) => log_softmax(v(a)),
@@ -389,6 +395,12 @@ impl Op {
                 vec![(*a, grad.scatter_add_rows_csr(&csr::cached(idx, n)))]
             }
             Op::ScatterAddRows(a, idx, _) => vec![(*a, grad.index_select_rows(idx))],
+            Op::NeighborSum(a, src, dst, _) => {
+                // The same kernel with the roles swapped: input row s
+                // collects grad[dst[e]] over the edges leaving it.
+                let n = v(a).nrows();
+                vec![(*a, grad.gather_scatter_csr(dst, &csr::cached(src, n)))]
+            }
             Op::SegmentMax(a, seg, n) => {
                 vec![(
                     *a,
@@ -944,6 +956,36 @@ impl Tape {
         self.record(Op::ScatterAddRows(a, indices, num_rows))
     }
 
+    /// Message-passing sum `out[dst[e]] += a[src[e]]` into `num_rows`
+    /// rows: bitwise `index_select(a, src)` then `scatter_add_rows(·, dst)`
+    /// without the `[E, c]` message tensor. Forward walks the cached CSR
+    /// index of `dst`, backward the one of `src`.
+    pub fn neighbor_sum(
+        &mut self,
+        a: NodeId,
+        src: Rc<Vec<usize>>,
+        dst: Rc<Vec<usize>>,
+        num_rows: usize,
+    ) -> NodeId {
+        assert_eq!(src.len(), dst.len(), "neighbor_sum src/dst length mismatch");
+        self.record(Op::NeighborSum(a, src, dst, num_rows))
+    }
+
+    /// Message-passing mean: [`Tape::neighbor_sum`] divided by each
+    /// destination's in-degree (isolated rows stay zero) — bitwise
+    /// `segment_mean(index_select(a, src), dst)`.
+    pub fn neighbor_mean(
+        &mut self,
+        a: NodeId,
+        src: Rc<Vec<usize>>,
+        dst: Rc<Vec<usize>>,
+        num_rows: usize,
+    ) -> NodeId {
+        let index = csr::cached(&dst, num_rows);
+        let sums = self.neighbor_sum(a, src, dst, num_rows);
+        self.divide_by_degree(sums, &index)
+    }
+
     /// Per-segment sum over rows (alias of scatter-add keyed by segment id).
     pub fn segment_sum(&mut self, a: NodeId, seg: Rc<Vec<usize>>, num_segments: usize) -> NodeId {
         self.scatter_add_rows(a, seg, num_segments)
@@ -955,10 +997,14 @@ impl Tape {
         // forward will hit, so the O(rows) count pass runs once per batch.
         let index = csr::cached(&seg, num_segments);
         let sums = self.segment_sum(a, seg, num_segments);
-        let counts: Vec<f32> = (0..num_segments)
-            .map(|s| (index.degree(s).max(1)) as f32)
-            .collect();
-        let counts = self.constant(Tensor::from_vec(counts, [num_segments, 1]));
+        self.divide_by_degree(sums, &index)
+    }
+
+    /// `sums[s] / max(degree(s), 1)` for every row `s` of `index`.
+    fn divide_by_degree(&mut self, sums: NodeId, index: &CsrIndex) -> NodeId {
+        let n = index.num_rows();
+        let counts: Vec<f32> = (0..n).map(|s| (index.degree(s).max(1)) as f32).collect();
+        let counts = self.constant(Tensor::from_vec(counts, [n, 1]));
         self.div(sums, counts)
     }
 

@@ -242,11 +242,12 @@ fn run_parallel(chunks: usize, workers: usize, task: &(dyn Fn(usize) + Sync)) {
 // ------------------------------------------------------------- chunked api
 
 /// Work threshold (in per-kernel work units — elements for elementwise
-/// kernels, `rows * cols` for row-blocked ones) below which a multi-chunk
-/// region runs inline on the calling thread instead of dispatching to the
-/// pool. The threads-sweep showed small elementwise kernels *regressing*
-/// under dispatch (`cos_map` 512×128 at 0.86x): waking workers and
-/// cache-bouncing a 256 KiB problem costs more than the loop itself.
+/// kernels, `rows * cols` for row-blocked ones, multiply-adds for matmul)
+/// below which a multi-chunk region runs inline on the calling thread
+/// instead of dispatching to the pool. The threads-sweep showed small
+/// elementwise kernels *regressing* under dispatch (`cos_map` 512×128 at
+/// 0.86x): waking workers and cache-bouncing a 256 KiB problem costs more
+/// than the loop itself.
 /// Cutoffs are a pure function of the kernel family — never of the thread
 /// count — so chunk boundaries and results stay bitwise-identical; only
 /// where the chunks execute changes.
@@ -257,7 +258,9 @@ pub fn inline_cutoff(kernel: Kernel) -> usize {
         // Row gathers are pure memcpy per row — similar story.
         Kernel::Gather => 1 << 15,
         // Heavier per-element bodies win earlier.
-        Kernel::Matmul | Kernel::LogSoftmax | Kernel::Segment | Kernel::Csr => 1 << 14,
+        Kernel::LogSoftmax | Kernel::Segment | Kernel::Csr => 1 << 14,
+        // Multiply-adds: 16K output elements at the hidden width k = 32.
+        Kernel::Matmul => 1 << 19,
     }
 }
 
@@ -446,6 +449,8 @@ pub fn map_inplace(out: &mut [f32], grain: usize, kernel: Kernel, f: impl Fn(f32
 /// Run `f(row, &mut row_slice)` for every row of a `[rows, cols]` buffer,
 /// chunked over rows. Used by the row-blocked matmul and row-wise
 /// softmax-family kernels: every row is written by exactly one chunk.
+/// The work estimate is the element count `rows * cols`: a 100-row ×
+/// 10_000-col fill is plenty to amortize dispatch.
 pub fn for_each_row(
     out: &mut [f32],
     rows: usize,
@@ -454,14 +459,27 @@ pub fn for_each_row(
     kernel: Kernel,
     f: impl Fn(usize, &mut [f32]) + Sync,
 ) {
+    for_each_row_weighted(out, rows, cols, grain_rows, kernel, rows * cols, f);
+}
+
+/// [`for_each_row`] with an explicit work estimate for the inline cutoff
+/// (matmul passes its multiply-add count). Row chunks depend only on
+/// `rows` and `grain_rows`.
+pub fn for_each_row_weighted(
+    out: &mut [f32],
+    rows: usize,
+    cols: usize,
+    grain_rows: usize,
+    kernel: Kernel,
+    work: usize,
+    f: impl Fn(usize, &mut [f32]) + Sync,
+) {
     assert_eq!(out.len(), rows * cols, "row buffer size mismatch");
     if cols == 0 {
         return;
     }
     let base = SendPtr(out.as_mut_ptr());
-    // Work estimate is the full element count, not the row count: a
-    // 100-row × 10_000-col matmul is plenty to amortize dispatch.
-    for_each_chunk_weighted(rows, grain_rows, kernel, rows * cols, |range| {
+    for_each_chunk_weighted(rows, grain_rows, kernel, work, |range| {
         for r in range {
             // Disjoint row slices: row ranges never overlap across chunks.
             let row = unsafe { std::slice::from_raw_parts_mut(base.get().add(r * cols), cols) };
@@ -588,8 +606,8 @@ mod tests {
         assert!(!would_dispatch(Kernel::Elementwise, 512 * 128));
         assert!(would_dispatch(Kernel::Elementwise, 1 << 17));
         // Heavier kernels keep dispatching at sizes the sweep showed
-        // scaling well (matmul 128³ ≈ 16K output elements).
-        assert!(would_dispatch(Kernel::Matmul, 128 * 128));
+        // scaling well (matmul 128³, counted in multiply-adds).
+        assert!(would_dispatch(Kernel::Matmul, 128 * 128 * 128));
         // Cutoffs are per-family constants: thread-count independent.
         let before = current_threads();
         set_threads(1);

@@ -14,7 +14,7 @@ use crate::ops::Op;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of [`Op`] kinds tracked (one counter per enum variant).
-pub const N_OPS: usize = 35;
+pub const N_OPS: usize = 36;
 
 /// Display names, indexed like the per-op counters.
 pub const OP_NAMES: [&str; N_OPS] = [
@@ -53,6 +53,7 @@ pub const OP_NAMES: [&str; N_OPS] = [
     "weighted_center",
     "scaled_masked_sq_sum",
     "cos_feature",
+    "neighbor_sum",
 ];
 
 pub(crate) fn op_kind(op: &Op) -> usize {
@@ -92,6 +93,7 @@ pub(crate) fn op_kind(op: &Op) -> usize {
         Op::WeightedCenter(..) => 32,
         Op::ScaledMaskedSqSum(..) => 33,
         Op::CosFeature(..) => 34,
+        Op::NeighborSum(..) => 35,
     }
 }
 

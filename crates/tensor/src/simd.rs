@@ -279,21 +279,41 @@ pub fn center_dot(x: &[f32], g: &[f32], mean: &[f32]) -> f32 {
 const MM_TILE: usize = 2 * LANES;
 
 /// One output row of `C = A·B`: `out_row[j] = Σ_k a_row[k] · b[k,j]` with
-/// `b` row-major `[k, n]`. `out_row` must be zeroed by the caller.
+/// `b` row-major `[k, n]`. `out_row` must be zeroed by the caller and `b`
+/// must be all finite (see [`all_finite`]); use [`matmul_row_guarded`]
+/// otherwise.
 ///
 /// The output row is tiled into 16-column blocks held in register
 /// accumulator arrays across the whole `k` loop (one load/store of the
 /// output per tile instead of per `k`). Per output element the
-/// accumulation order is strict ascending `k` with a skip-zero-`a[k]`
-/// guard, so the result is bitwise-identical to the classic i-k-j loop.
+/// accumulation order is strict ascending `k`. There is no branch on
+/// zero `a[k]`, yet the result is bitwise-identical to the classic i-k-j
+/// loop that skips them: every accumulator starts at `+0.0`, and under
+/// round-to-nearest a sum starting at `+0.0` never becomes `−0.0` (a sum
+/// is `−0.0` only when both addends are), so adding the `±0.0` product of
+/// a zero `a[k]` and a finite `b[k,j]` leaves it unchanged.
 pub fn matmul_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
+    matmul_row_body::<false>(a_row, b, n, out_row);
+}
+
+/// [`matmul_row`] for a `b` holding ±∞ or NaN: zero `a[k]` are skipped,
+/// as `0 · ∞` would otherwise turn the sum into NaN. Same accumulation
+/// order as [`matmul_row`].
+pub fn matmul_row_guarded(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
+    matmul_row_body::<true>(a_row, b, n, out_row);
+}
+
+/// The one matmul row body; `SKIP_ZERO` is resolved at compile time, so
+/// the unguarded instance has no data-dependent branch in its `k` loop.
+#[inline(always)]
+fn matmul_row_body<const SKIP_ZERO: bool>(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
     debug_assert_eq!(out_row.len(), n);
     debug_assert_eq!(b.len(), a_row.len() * n);
     let mut j0 = 0;
     while j0 + MM_TILE <= n {
         let mut acc = [0.0f32; MM_TILE];
         for (kk, &a) in a_row.iter().enumerate() {
-            if a == 0.0 {
+            if SKIP_ZERO && a == 0.0 {
                 continue;
             }
             let b_tile = &b[kk * n + j0..kk * n + j0 + MM_TILE];
@@ -308,7 +328,7 @@ pub fn matmul_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
         // Tail columns: same k-ascending order, unblocked.
         let tail = &mut out_row[j0..];
         for (kk, &a) in a_row.iter().enumerate() {
-            if a == 0.0 {
+            if SKIP_ZERO && a == 0.0 {
                 continue;
             }
             let b_tail = &b[kk * n + j0..(kk + 1) * n];
@@ -317,6 +337,13 @@ pub fn matmul_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
             }
         }
     }
+}
+
+/// True when no element is ±∞ or NaN: `x · 0` is `±0.0` exactly for
+/// finite `x` and NaN otherwise, so the branch-free lane sum of those
+/// products is zero iff every element is finite.
+pub fn all_finite(xs: &[f32]) -> bool {
+    lane_fold(xs, 0.0, |x| x * 0.0, |a, b| a + b) == 0.0
 }
 
 // ------------------------------------------------------- fused RFF bodies
@@ -475,26 +502,100 @@ mod tests {
         }
     }
 
+    /// The classic i-k-j row loop with the skip-zero-`a[k]` guard.
+    fn matmul_row_reference(a: &[f32], b: &[f32], n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; n];
+        for (kk, &av) in a.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                out[j] += av * b[kk * n + j];
+            }
+        }
+        out
+    }
+
+    fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        for (j, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what} col {j}: {g} vs {w}");
+        }
+    }
+
     #[test]
     fn matmul_row_matches_reference_bitwise() {
-        // Odd n exercises the tail path; a zero in a_row the skip guard.
-        for (k, n) in [(4usize, 5usize), (7, 16), (13, 35), (8, 64)] {
-            let mut a = data(k);
-            a[k / 2] = 0.0;
-            let b = data(k * n);
-            let mut reference = vec![0.0f32; n];
-            for (kk, &av) in a.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    reference[j] += av * b[kk * n + j];
-                }
+        // A subnormal, and k/n tails: n below, at and past the 16-column
+        // tile; odd k.
+        let sub = f32::MIN_POSITIVE / 8.0;
+        for (k, n) in [
+            (1usize, 1usize),
+            (4, 5),
+            (7, 16),
+            (13, 35),
+            (8, 64),
+            (9, 17),
+        ] {
+            let mut b = data(k * n);
+            let len = b.len();
+            for (i, v) in [-0.0, sub, 0.0, -sub].into_iter().enumerate() {
+                b[i * 3 % len] = v;
             }
-            let mut out = vec![0.0f32; n];
-            matmul_row(&a, &b, n, &mut out);
-            for (o, r) in out.iter().zip(reference.iter()) {
-                assert_eq!(o.to_bits(), r.to_bits(), "k={k} n={n}");
+            let mut mixed = data(k);
+            mixed[0] = 0.0;
+            mixed[k / 2] = -0.0;
+            if k > 2 {
+                mixed[k - 1] = sub;
+            }
+            let rows = [mixed, vec![0.0; k], vec![-0.0; k], vec![sub; k]];
+            for a in &rows {
+                let want = matmul_row_reference(a, &b, n);
+                let mut plain = vec![0.0f32; n];
+                matmul_row(a, &b, n, &mut plain);
+                assert_bits_eq(&plain, &want, &format!("k={k} n={n} guard-free"));
+                let mut guarded = vec![0.0f32; n];
+                matmul_row_guarded(a, &b, n, &mut guarded);
+                assert_bits_eq(&guarded, &want, &format!("k={k} n={n} guarded"));
+            }
+        }
+    }
+
+    #[test]
+    fn guarded_matmul_row_skips_zeros_against_non_finite_b() {
+        let (k, n) = (5usize, 19usize);
+        let mut b = data(k * n);
+        b[2 * n + 3] = f32::INFINITY;
+        b[2 * n + 17] = f32::NAN;
+        b[4 * n] = f32::NEG_INFINITY;
+        let mut a = data(k);
+        a[2] = 0.0;
+        a[4] = -0.0;
+        let want = matmul_row_reference(&a, &b, n);
+        assert!(want.iter().all(|v| v.is_finite()));
+        let mut guarded = vec![0.0f32; n];
+        matmul_row_guarded(&a, &b, n, &mut guarded);
+        assert_bits_eq(&guarded, &want, "guarded");
+        // The guard-free body is only exact for finite b: 0 · ∞ is NaN.
+        let mut plain = vec![0.0f32; n];
+        matmul_row(&a, &b, n, &mut plain);
+        assert!(plain[3].is_nan() && plain[17].is_nan() && plain[0].is_nan());
+    }
+
+    #[test]
+    fn all_finite_flags_any_non_finite_element() {
+        assert!(all_finite(&[]));
+        assert!(all_finite(&[
+            -0.0,
+            f32::MIN_POSITIVE / 8.0,
+            f32::MAX,
+            f32::MIN
+        ]));
+        assert!(all_finite(&data(1000)));
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            // In the 8-lane body and in the scalar tail.
+            for pos in [0usize, 5, 8] {
+                let mut xs = data(9);
+                xs[pos] = bad;
+                assert!(!all_finite(&xs), "{bad} at {pos}");
             }
         }
     }

@@ -273,15 +273,23 @@ impl Tensor {
         }
     }
 
-    /// Transpose of a 2-D matrix.
+    /// Transpose of a 2-D matrix: output rows (input columns) filled in
+    /// parallel, a pure copy.
     pub fn transpose(&self) -> Tensor {
         let (r, c) = self.shape.as_matrix();
         let mut data = pool::take_raw(r * c);
-        for i in 0..r {
-            for j in 0..c {
-                data[j * r + i] = self.data[i * c + j];
-            }
-        }
+        par::for_each_row(
+            &mut data,
+            c,
+            r,
+            (ELEMENTWISE_GRAIN / r.max(1)).max(1),
+            Kernel::Gather,
+            |j, out_row| {
+                for (i, o) in out_row.iter_mut().enumerate() {
+                    *o = self.data[i * c + j];
+                }
+            },
+        );
         Tensor::from_raw(data, Shape::new(&[c, r]))
     }
 
@@ -546,8 +554,13 @@ impl Tensor {
     /// blocked [`simd::matmul_row`] microkernel (16-column register
     /// accumulator tiles over an ascending-`k` loop). Per output element
     /// the accumulation order is the classic i-k-j schedule, so the
-    /// result is bitwise-identical at any thread count and to the
-    /// scalar-reference body.
+    /// result is bitwise-identical at any thread count. `other` is
+    /// scanned once: when it is all finite, the branch-free body is
+    /// exact (a zero `a[k]` adds a `±0.0` product to a sum that started
+    /// at `+0.0`, which cannot change it); a non-finite `other` takes
+    /// [`simd::matmul_row_guarded`], which skips zero `a[k]` so `0 · ∞`
+    /// never enters the sum. The pool cutoff counts multiply-adds, so a
+    /// long inner dimension (the `Aᵀ·G` weight gradient) fans out too.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         let (m, k) = self.shape.as_matrix();
         let (k2, n) = other.shape.as_matrix();
@@ -558,14 +571,21 @@ impl Tensor {
         );
         let mut out = Tensor::zeros([m, n]);
         let grain_rows = (MATMUL_GRAIN_OPS / (k * n).max(1)).max(1);
-        par::for_each_row(
+        let b_finite = simd::all_finite(&other.data);
+        par::for_each_row_weighted(
             out.data.make_mut(),
             m,
             n,
             grain_rows,
             Kernel::Matmul,
+            m * k * n,
             |i, out_row| {
-                simd::matmul_row(&self.data[i * k..(i + 1) * k], &other.data, n, out_row);
+                let a_row = &self.data[i * k..(i + 1) * k];
+                if b_finite {
+                    simd::matmul_row(a_row, &other.data, n, out_row);
+                } else {
+                    simd::matmul_row_guarded(a_row, &other.data, n, out_row);
+                }
             },
         );
         out
@@ -633,8 +653,38 @@ impl Tensor {
     /// order as the sequential scatter — bitwise-identical results at any
     /// thread count, attributed to the `csr` kernel family in profiles.
     pub fn scatter_add_rows_csr(&self, csr: &crate::csr::CsrIndex) -> Tensor {
-        let (r, c) = self.shape.as_matrix();
+        let (r, _) = self.shape.as_matrix();
         assert_eq!(r, csr.num_items(), "scatter_add rows/index mismatch");
+        self.csr_row_sums(csr, |i| i)
+    }
+
+    /// Gather-then-scatter through a CSR index without materializing the
+    /// gathered rows: `out[s] = Σ self[from[e]]` over `e ∈ csr.row(s)`,
+    /// where `csr` inverts the scatter list. Because a gather copies rows
+    /// exactly, this is bitwise `index_select_rows(from)` followed by
+    /// [`Tensor::scatter_add_rows_csr`], at any thread count.
+    pub fn gather_scatter_csr(&self, from: &[usize], csr: &crate::csr::CsrIndex) -> Tensor {
+        assert_eq!(
+            from.len(),
+            csr.num_items(),
+            "gather/scatter length mismatch"
+        );
+        let r = self.nrows();
+        self.csr_row_sums(csr, |e| {
+            let i = from[e];
+            assert!(i < r, "index {i} out of range for {r} rows");
+            i
+        })
+    }
+
+    /// The CSR aggregation body: output row `s` folds `self[row_of(e)]`
+    /// for `e ∈ csr.row(s)` in ascending `e`, starting from `+0.0`.
+    fn csr_row_sums(
+        &self,
+        csr: &crate::csr::CsrIndex,
+        row_of: impl Fn(usize) -> usize + Sync,
+    ) -> Tensor {
+        let c = self.ncols();
         let num_rows = csr.num_rows();
         let mut out = Tensor::zeros([num_rows, c]);
         let grain_rows = ((4 * ELEMENTWISE_GRAIN) / c.max(1)).max(1);
@@ -645,7 +695,8 @@ impl Tensor {
             grain_rows,
             Kernel::Csr,
             |s, out_row| {
-                for &i in csr.row(s) {
+                for &e in csr.row(s) {
+                    let i = row_of(e);
                     simd::add_assign(out_row, &self.data[i * c..(i + 1) * c]);
                 }
             },
@@ -748,6 +799,19 @@ mod tests {
         assert!(t.mean().abs() < 0.05, "mean {}", t.mean());
         let var = t.map(|x| x * x).mean() - t.mean() * t.mean();
         assert!((var - 1.0).abs() < 0.06, "var {var}");
+    }
+
+    #[test]
+    fn matmul_takes_the_skip_path_for_non_finite_b() {
+        // Zeros of A against the ∞/NaN row of B: the skip reference
+        // never forms 0 · ∞, so the result stays finite.
+        let a = Tensor::from_vec(vec![1.0, 0.0, 2.0, -0.0, 0.0, 3.0], [2, 3]);
+        let b = Tensor::from_vec(vec![1.0, 2.0, f32::INFINITY, f32::NAN, 3.0, 4.0], [3, 2]);
+        let c = a.matmul(&b);
+        assert_eq!(c.data(), &[7.0, 10.0, 9.0, 12.0]);
+        // A non-zero a[k] against ∞ still propagates.
+        let ones = Tensor::ones([1, 3]);
+        assert!(ones.matmul(&b).data().iter().all(|v| !v.is_finite()));
     }
 
     #[test]

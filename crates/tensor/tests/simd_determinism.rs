@@ -7,6 +7,7 @@
 //! −∞ rows, sub-lane-width tails) are pinned explicitly. The lane
 //! schedule itself is pinned by the unit tests in `simd.rs`.
 
+use ood_tensor::profile::Kernel;
 use ood_tensor::rng::Rng;
 use ood_tensor::{csr, par, pool, Tape, Tensor};
 use std::rc::Rc;
@@ -63,7 +64,7 @@ fn value_and_grads(
 fn matmul_microkernel_is_grid_invariant() {
     let mut rng = Rng::seed_from(41);
     // 41 columns: two full 16-wide tiles plus a 9-column tail; zeros in A
-    // exercise the skip guard.
+    // exercise the guard-free body.
     let mut a = Tensor::randn([97, 53], &mut rng);
     for v in a.data_mut().iter_mut().step_by(17) {
         *v = 0.0;
@@ -182,6 +183,86 @@ fn tape_scatter_and_gather_are_grid_invariant() {
             t.index_select(ids[0], Rc::clone(&sel))
         })
     });
+}
+
+/// Forward value and input gradient of `build` under a loss that weights
+/// every output element differently (`Σ out ⊙ w`), so the gradient rows
+/// are distinct and their summation order shows in the bits.
+fn value_and_weighted_grad(
+    x: &Tensor,
+    w: &Tensor,
+    build: impl Fn(&mut Tape, ood_tensor::NodeId) -> ood_tensor::NodeId,
+) -> Vec<f32> {
+    let mut tape = Tape::new();
+    let xn = tape.leaf(x.clone());
+    let out = build(&mut tape, xn);
+    let wn = tape.constant(w.clone());
+    let weighted = tape.mul(out, wn);
+    let loss = tape.sum(weighted);
+    let grads = tape.backward(loss);
+    let mut all = tape.value(out).data().to_vec();
+    all.extend_from_slice(grads.get(xn).expect("x reached").data());
+    all
+}
+
+#[test]
+fn neighbor_sum_matches_gather_scatter_across_grid() {
+    let mut rng = Rng::seed_from(52);
+    let n = 700usize;
+    // Random edges with duplicates and self-loops; nodes ≥ 650 isolated.
+    let mut src: Vec<usize> = (0..2500).map(|_| rng.below(650)).collect();
+    let mut dst: Vec<usize> = (0..2500).map(|_| rng.below(650)).collect();
+    src.extend([3, 3, 9, 9, 9]);
+    dst.extend([7, 7, 9, 9, 2]);
+    let big = (Rc::new(src), Rc::new(dst), n);
+    let tiny = (
+        Rc::new(vec![0usize, 0, 2, 1]),
+        Rc::new(vec![1usize, 1, 2, 0]),
+        4,
+    );
+    let no_edges = (Rc::new(vec![]), Rc::new(vec![]), 6);
+    for (case, (src, dst, n)) in [("big", big), ("tiny", tiny), ("no edges", no_edges)] {
+        let x = Tensor::randn([n, 24], &mut rng);
+        let w = Tensor::randn([n, 24], &mut rng);
+        for mean in [false, true] {
+            let (src, dst) = (Rc::clone(&src), Rc::clone(&dst));
+            let (x, w) = (x.clone(), w.clone());
+            bitwise_across_grid(&format!("neighbor {case} mean={mean}"), move || {
+                let fused = value_and_weighted_grad(&x, &w, |t, xn| {
+                    let (s, d) = (Rc::clone(&src), Rc::clone(&dst));
+                    if mean {
+                        t.neighbor_mean(xn, s, d, n)
+                    } else {
+                        t.neighbor_sum(xn, s, d, n)
+                    }
+                });
+                let composed = value_and_weighted_grad(&x, &w, |t, xn| {
+                    let msgs = t.index_select(xn, Rc::clone(&src));
+                    if mean {
+                        t.segment_mean(msgs, Rc::clone(&dst), n)
+                    } else {
+                        t.scatter_add_rows(msgs, Rc::clone(&dst), n)
+                    }
+                });
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fused), bits(&composed), "{case} mean={mean}");
+                fused
+            });
+        }
+    }
+}
+
+#[test]
+fn weight_gradient_matmul_is_grid_invariant() {
+    let mut rng = Rng::seed_from(53);
+    // The `Aᵀ·G` weight gradient of a large batch: 32 output rows over a
+    // 1500-long inner dimension, ReLU-sparse A — enough multiply-adds to
+    // fan out across the pool.
+    let a = Tensor::randn([1500, 32], &mut rng).map(|v| v.max(0.0));
+    let g = Tensor::randn([1500, 32], &mut rng);
+    assert!(par::would_dispatch(Kernel::Matmul, 32 * 1500 * 32));
+    bitwise_across_grid("transpose", || a.transpose().into_vec());
+    bitwise_across_grid("Aᵀ·G", || a.transpose().matmul(&g).into_vec());
 }
 
 #[test]
