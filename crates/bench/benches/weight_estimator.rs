@@ -4,29 +4,17 @@
 //! the per-batch cost is `O((K+1)|B|)` — independent of the dataset size.
 
 use bench::{black_box, Harness};
-use oodgnn_core::{decorrelation_loss, DecorrelationKind, GlobalMemory, GraphWeights};
-use tensor::optim::{Adam, Optimizer};
+use oodgnn_core::{DecorrelationCtx, DecorrelationKind, GlobalMemory, GraphWeights};
+use tensor::optim::Adam;
 use tensor::rng::Rng;
-use tensor::{Tape, Tensor};
+use tensor::Tensor;
 
 fn inner_step(mem: &GlobalMemory, z: &Tensor, w: &mut GraphWeights, opt: &mut Adam, rng: &mut Rng) {
-    let b = z.nrows();
     let (z_hat, w_hat) = mem.concat(z, w.values()).expect("aligned memory");
-    let kb = z_hat.nrows() - b;
-    let mut tape = Tape::new();
-    let zn = tape.constant(z_hat);
-    let wl = w.bind(&mut tape);
-    let wl2 = tape.reshape(wl, [b, 1]);
-    let w_full = if kb > 0 {
-        let wg = tape.constant(Tensor::from_vec(w_hat.data()[..kb].to_vec(), [kb, 1]));
-        tape.concat_rows(&[wg, wl2])
-    } else {
-        wl2
-    };
-    let loss = decorrelation_loss(&mut tape, zn, w_full, &DecorrelationKind::Rff { q: 1 }, rng)
-        .expect("one weight per row");
-    let g = tape.backward(loss);
-    opt.step(vec![w.param_mut()], &g);
+    let kb = z_hat.nrows() - z.nrows();
+    let ctx = DecorrelationCtx::new(z_hat.ncols(), &DecorrelationKind::Rff { q: 1 }, rng);
+    let (_, grad) = w.objective_and_grad(&ctx.lift(&z_hat), &w_hat.data()[..kb], 0.0);
+    opt.update(w.param_mut(), &grad);
     w.project();
 }
 

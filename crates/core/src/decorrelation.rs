@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use tensor::rng::Rng;
-use tensor::{NodeId, Tape, Tensor};
+use tensor::{ops, NodeId, Tape, Tensor};
 
 /// Which feature lifting the decorrelation loss uses.
 #[derive(Clone, Debug)]
@@ -76,20 +76,18 @@ fn cached_upper_triangle_mask(d: usize) -> Rc<Tensor> {
 fn pair_penalty(tape: &mut Tape, u: NodeId, v: NodeId, mask: &Rc<Tensor>, n: usize) -> NodeId {
     let ut = tape.transpose(u);
     let prod = tape.matmul(ut, v);
-    let scale = 1.0 / (n.max(2) as f32 - 1.0);
-    tape.scaled_masked_sq_sum(prod, Rc::clone(mask), scale)
+    tape.scaled_masked_sq_sum(prod, Rc::clone(mask), penalty_scale(n))
 }
 
-/// Reusable per-model state for the decorrelation objective: the cached
-/// `d×d` strict-upper-triangle mask and (for the RFF variant) the two
+/// Per-batch state of the decorrelation objective: the cached `d×d`
+/// strict-upper-triangle mask and (for the RFF variant) the two
 /// independent RFF draws `f`, `g`.
 ///
-/// Build one per batch with [`DecorrelationCtx::new`] and evaluate it any
-/// number of times with [`decorrelation_loss_with`] — the weight inner loop
-/// replays the same graph dozens of times per step, and the ctx keeps every
-/// loop-invariant tensor (mask, RFF rows) out of that loop.
+/// [`decorrelation_loss`] builds one per call and records the objective on
+/// a tape. The weight inner loop builds one per batch and calls
+/// [`DecorrelationCtx::lift`] once: the representations and the draws are
+/// fixed inside the loop, so only the weighting changes between steps.
 pub struct DecorrelationCtx {
-    kind: DecorrelationKind,
     d: usize,
     mask: Rc<Tensor>,
     rff: Option<(RffParams, RffParams)>,
@@ -107,7 +105,6 @@ impl DecorrelationCtx {
             DecorrelationKind::Linear => None,
         };
         DecorrelationCtx {
-            kind: kind.clone(),
             d,
             mask: cached_upper_triangle_mask(d),
             rff,
@@ -118,20 +115,136 @@ impl DecorrelationCtx {
     pub fn d(&self) -> usize {
         self.d
     }
+
+    /// Lift fixed representations `z` (`[n, d]`) once: the `f_q(z)` and
+    /// `g_q'(z)` feature matrices for the RFF variant, `z` itself for the
+    /// linear one.
+    ///
+    /// # Panics
+    /// Panics if `z` is not `[n, d]` for this context's `d`.
+    pub fn lift(&self, z: &Tensor) -> Lifted {
+        let (n, d) = z.shape().as_matrix();
+        assert_eq!(d, self.d, "decorrelation ctx prepared for d={}", self.d);
+        let (feats, q) = match &self.rff {
+            None => (vec![z.clone()], 1),
+            Some((f, g)) => {
+                let mut feats = f.features(z);
+                feats.extend(g.features(z));
+                (feats, f.q())
+            }
+        };
+        Lifted {
+            feats,
+            q,
+            n,
+            mask: Rc::clone(&self.mask),
+        }
+    }
+}
+
+/// Representations lifted by [`DecorrelationCtx::lift`]: the objective as
+/// a function of the sample weights alone, with a hand-written gradient.
+///
+/// [`Lifted::penalty_and_grad`] evaluates exactly the graph that
+/// [`decorrelation_loss`] records — the same kernels, and the gradient
+/// accumulated in the tape's reverse node order — so its value and
+/// gradient are bitwise-equal to the tape's.
+pub struct Lifted {
+    /// Feature matrices in tape node order: `f_1..f_Q` then `g_1..g_Q`
+    /// (RFF), or `z` alone (linear), where both operands are the same.
+    feats: Vec<Tensor>,
+    /// Number of left operands; the right operands are `feats[q..]`, or
+    /// `feats` itself when it holds only the `q` left ones.
+    q: usize,
+    n: usize,
+    mask: Rc<Tensor>,
+}
+
+impl Lifted {
+    /// The decorrelation value at weights `w_full` (`[n, 1]`, global rows
+    /// first) and its gradient `∂/∂w_full` (`[n, 1]`).
+    ///
+    /// Forward: `weighted_center` → `UᵀV` → `scaled_masked_sq_sum` for
+    /// every `(q, q')` pair. Backward: the tape's reverse sweep by hand —
+    /// the pairs in reverse, then the `gw` half of each centering, last
+    /// feature first.
+    ///
+    /// # Panics
+    /// Panics if `w_full` does not hold one weight per sample.
+    pub fn penalty_and_grad(&self, w_full: &Tensor) -> (f32, Tensor) {
+        trace::metrics::counter_add("decorrelation/calls", 1);
+        assert_eq!(w_full.numel(), self.n, "one weight per lifted sample");
+        let q = self.q;
+        let right = if self.feats.len() == q {
+            0..q
+        } else {
+            q..self.feats.len()
+        };
+        let centered: Vec<Tensor> = self
+            .feats
+            .iter()
+            .map(|x| ops::weighted_center(x, w_full))
+            .collect();
+        let transposed: Vec<Tensor> = centered.iter().map(Tensor::transpose).collect();
+        let scale = penalty_scale(self.n);
+        let mut total: Option<f32> = None;
+        let mut pairs = Vec::with_capacity(q * right.len());
+        for (u, ut) in transposed[..q].iter().enumerate() {
+            for v in right.clone() {
+                let prod = ut.matmul(&centered[v]);
+                let s = ops::scaled_masked_sq_sum(&prod, &self.mask, scale);
+                total = Some(total.map_or(s, |t| t + s));
+                pairs.push((u, v, prod));
+            }
+        }
+        let value = total.expect("q >= 1");
+        if trace::enabled() {
+            trace::metrics::observe("decorrelation/loss", value as f64);
+        }
+        let mut grads: Vec<Option<Tensor>> = vec![None; self.feats.len()];
+        // The `Matmul` arm's two gradients: `G·Vᵀ`, and `(Uᵀ)ᵀ·G`, which is
+        // `U·G` bit for bit (a transpose is a copy). With one shared
+        // operand (linear), `gb` lands before `gaᵀ`, as on the tape.
+        for (u, v, prod) in pairs.iter().rev() {
+            let g = ops::scaled_masked_sq_sum_grad(prod, &self.mask, scale, 1.0);
+            let ga = g.matmul(&transposed[*v]);
+            accumulate(&mut grads[*v], centered[*u].matmul(&g));
+            accumulate(&mut grads[*u], ga.transpose());
+        }
+        let mut gw = None;
+        for (x, g) in self.feats.iter().zip(&grads).rev() {
+            let g = g.as_ref().expect("every feature enters a pair");
+            accumulate(&mut gw, ops::weighted_center_grad_w(x, g));
+        }
+        (value, gw.expect("at least one feature"))
+    }
+}
+
+/// Add `g` into a gradient slot the way [`Tape::backward`] does: the first
+/// contribution is stored, later ones are `axpy`'d on.
+fn accumulate(slot: &mut Option<Tensor>, g: Tensor) {
+    match slot {
+        Some(acc) => acc.axpy(1.0, &g),
+        None => *slot = Some(g),
+    }
+}
+
+/// The `1/(n−1)` covariance normalizer of the pair penalty.
+fn penalty_scale(n: usize) -> f32 {
+    1.0 / (n.max(2) as f32 - 1.0)
 }
 
 /// Build the decorrelation loss node for representations `z` (`[n, d]`)
 /// and weights `w` (`[n]` or `[n, 1]`).
 ///
 /// For the RFF variant, `f` and `g` are two independent RFF draws (as in
-/// Eq. 4 where `f` and `g` are separate function tuples); pass an `rng` to
-/// draw them. Gradients flow into both `z` and `w`, so the same node serves
-/// the weight-optimization inner loop (with `z` detached) and any
-/// encoder-side use (with `w` detached).
-///
-/// This is a convenience wrapper that builds a fresh [`DecorrelationCtx`]
-/// per call; loops that replay the same graph should build the ctx once
-/// and call [`decorrelation_loss_with`].
+/// Eq. 4 where `f` and `g` are separate function tuples) taken from `rng`.
+/// Gradients flow into both `z` and `w`. The centering and
+/// covariance-penalty stages run as fused single-pass kernels
+/// ([`Tape::weighted_center`], [`Tape::scaled_masked_sq_sum`],
+/// [`Tape::cos_feature`] inside [`RffParams::apply`]). With `z` fixed, the
+/// weight inner loop uses [`DecorrelationCtx::lift`] instead, which gives
+/// the same value and weight gradient without a tape.
 ///
 /// # Errors
 /// Fails with [`OodGnnError::Shape`] when the weights are not rank 1 or 2
@@ -143,34 +256,9 @@ pub fn decorrelation_loss(
     kind: &DecorrelationKind,
     rng: &mut Rng,
 ) -> Result<NodeId, OodGnnError> {
-    let d = tape.shape(z).as_matrix().1;
-    let ctx = DecorrelationCtx::new(d, kind, rng);
-    decorrelation_loss_with(tape, z, w, &ctx)
-}
-
-/// Build the decorrelation loss node using a prepared [`DecorrelationCtx`]
-/// (shared mask, fixed RFF draws). Semantics match [`decorrelation_loss`];
-/// the centering and covariance-penalty stages run as fused single-pass
-/// kernels ([`Tape::weighted_center`], [`Tape::scaled_masked_sq_sum`],
-/// [`Tape::cos_feature`] inside [`RffParams::apply`]).
-///
-/// # Errors
-/// Fails with [`OodGnnError::Shape`] when the weights are malformed (see
-/// [`decorrelation_loss`]) or `z`'s width disagrees with the context.
-pub fn decorrelation_loss_with(
-    tape: &mut Tape,
-    z: NodeId,
-    w: NodeId,
-    ctx: &DecorrelationCtx,
-) -> Result<NodeId, OodGnnError> {
     trace::metrics::counter_add("decorrelation/calls", 1);
     let (n, d) = tape.shape(z).as_matrix();
-    if d != ctx.d {
-        return Err(OodGnnError::Shape(format!(
-            "decorrelation ctx prepared for d={}, got d={d}",
-            ctx.d
-        )));
-    }
+    let ctx = DecorrelationCtx::new(d, kind, rng);
     let w = match tape.shape(w).rank() {
         1 => tape.reshape(w, [n, 1]),
         2 => w,
@@ -186,13 +274,12 @@ pub fn decorrelation_loss_with(
             tape.shape(w)
         )));
     }
-    let loss = match &ctx.kind {
-        DecorrelationKind::Linear => {
+    let loss = match &ctx.rff {
+        None => {
             let u = tape.weighted_center(z, w);
             pair_penalty(tape, u, u, &ctx.mask, n)
         }
-        DecorrelationKind::Rff { .. } => {
-            let (f, g) = ctx.rff.as_ref().expect("rff ctx carries its draws");
+        Some((f, g)) => {
             let fu: Vec<NodeId> = f
                 .apply(tape, z)
                 .into_iter()

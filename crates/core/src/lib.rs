@@ -42,8 +42,7 @@ pub mod weights;
 
 pub use checkpoint::{CheckpointConfig, TrainCheckpoint};
 pub use decorrelation::{
-    decorrelation_loss, decorrelation_loss_with, linear_loss_reference, DecorrelationCtx,
-    DecorrelationKind,
+    decorrelation_loss, linear_loss_reference, DecorrelationCtx, DecorrelationKind,
 };
 pub use error::OodGnnError;
 pub use fault::FaultPlan;

@@ -11,7 +11,7 @@
 
 use std::rc::Rc;
 use tensor::rng::Rng;
-use tensor::{NodeId, Tape, Tensor};
+use tensor::{ops, NodeId, Tape, Tensor};
 
 /// Sampled RFF parameters for a `d`-dimensional representation: `Q`
 /// frequency/phase rows, each applied to all `d` dimensions.
@@ -71,6 +71,16 @@ impl RffParams {
                 // clones per call.
                 tape.cos_feature(z, w_row.clone(), phi_row.clone(), sqrt2)
             })
+            .collect()
+    }
+
+    /// The `Q` feature matrices of a fixed `z` (`[n, d]`), without a tape:
+    /// the same kernel and values as [`RffParams::apply`].
+    pub fn features(&self, z: &Tensor) -> Vec<Tensor> {
+        assert_eq!(z.ncols(), self.d(), "RFF params sampled for d={}", self.d());
+        self.rows
+            .iter()
+            .map(|(w_row, phi_row)| ops::cos_feature(z, w_row, phi_row, std::f32::consts::SQRT_2))
             .collect()
     }
 }

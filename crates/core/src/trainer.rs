@@ -11,7 +11,7 @@
 //! and checkpointing off.
 
 use crate::checkpoint::{CheckpointConfig, TrainCheckpoint};
-use crate::decorrelation::{decorrelation_loss_with, DecorrelationCtx, DecorrelationKind};
+use crate::decorrelation::{DecorrelationCtx, DecorrelationKind};
 use crate::error::OodGnnError;
 use crate::fault::FaultPlan;
 use crate::global_local::GlobalMemory;
@@ -202,7 +202,7 @@ impl OodGnn {
         self.model.num_params()
     }
 
-    /// Immutable access to the wrapped predictive model.
+    /// Mutable access to the wrapped predictive model.
     pub fn model_mut(&mut self) -> &mut GnnModel {
         &mut self.model
     }
@@ -254,14 +254,14 @@ impl OodGnn {
             initial_loss: 0.0,
             final_loss: 0.0,
         };
-        // Everything the graph replays is loop-invariant, so it is built
-        // once: the concatenated representations (the memory updates only
-        // after the loop, and `concat`'s weight tail is discarded — only
-        // the global prefix `[..kb]` is read), the global weight prefix
-        // tensor, and the decorrelation context (shared mask + one RFF draw
-        // per batch, reused by every replay). With a column subset the
-        // memory layout (full d) cannot align, so the covariance runs over
-        // the local batch only.
+        // Only the weights change inside the loop, so everything else is
+        // built once: the concatenated representations (the memory updates
+        // only after the loop, and `concat`'s weight tail is discarded —
+        // only the global prefix `[..kb]` is read), and the lifted features
+        // (one RFF draw per batch). Each step is then a hand-written value
+        // and gradient plus one Adam update — no tape. With a column subset
+        // the memory layout (full d) cannot align, so the covariance runs
+        // over the local batch only.
         let (z_hat, w_hat_globals) = if cols.is_none() {
             self.memory
                 .concat(&z_used, w.values())
@@ -270,39 +270,22 @@ impl OodGnn {
             (z_used.clone(), w.values().clone())
         };
         let kb = z_hat.nrows() - b; // rows contributed by global groups
-        let w_globals =
-            (kb > 0).then(|| Tensor::from_vec(w_hat_globals.data()[..kb].to_vec(), [kb, 1]));
+        let globals = &w_hat_globals.data()[..kb];
         let ctx = DecorrelationCtx::new(z_hat.ncols(), &self.config.decorrelation, rng);
-        // One tape for the whole loop: `reset` returns every node buffer to
-        // the thread's pool, so replay k+1 re-uses replay k's allocations.
-        let mut tape = Tape::new();
+        let lifted = trace::span::time("lift", || ctx.lift(&z_hat));
         for iter in 0..self.config.epoch_reweight {
-            tape.reset();
-            let z_node = tape.constant(z_hat.clone());
-            let w_local = w.bind(&mut tape);
-            let w_local2 = tape.reshape(w_local, [b, 1]);
-            let w_full = match &w_globals {
-                Some(wg) => {
-                    let w_g = tape.constant(wg.clone());
-                    tape.concat_rows(&[w_g, w_local2])
-                }
-                None => w_local2,
-            };
-            let dec = decorrelation_loss_with(&mut tape, z_node, w_full, &ctx)
-                .map_err(InnerFailure::Fatal)?;
-            let dec_value = tape.value(dec).item();
+            let (dec_value, grad) = trace::span::time("penalty", || {
+                w.objective_and_grad(&lifted, globals, self.config.lambda)
+            });
             if check && !dec_value.is_finite() {
-                w.param_mut().clear_binding();
                 return Err(InnerFailure::Diverged);
             }
             if iter == 0 {
                 stats.initial_loss = dec_value;
             }
             stats.final_loss = dec_value;
-            let reg = w.l2_penalty(&mut tape, w_local, self.config.lambda);
-            let loss = tape.add(dec, reg);
-            let grads = tape.backward(loss);
-            opt.step(vec![w.param_mut()], &grads);
+            let _step = trace::span!("step");
+            opt.update(w.param_mut(), &grad);
             w.project();
             if spike && iter == 0 {
                 // Simulate a perturbed inner gradient blowing up a weight.

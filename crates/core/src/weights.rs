@@ -3,6 +3,7 @@
 //! solutions" (§4.1.3), implemented as projection after every optimizer
 //! step.
 
+use crate::decorrelation::Lifted;
 use tensor::nn::Param;
 use tensor::{NodeId, Tape, Tensor};
 
@@ -36,11 +37,6 @@ impl GraphWeights {
     /// Current weights.
     pub fn values(&self) -> &Tensor {
         &self.param.value
-    }
-
-    /// Bind onto a tape for the inner optimization.
-    pub fn bind(&mut self, tape: &mut Tape) -> NodeId {
-        self.param.bind(tape)
     }
 
     /// Access the underlying parameter (for the optimizer).
@@ -82,6 +78,37 @@ impl GraphWeights {
         let sq = tape.square(w_node);
         let m = tape.mean(sq);
         tape.mul_scalar(m, lambda)
+    }
+
+    /// Gradient of [`GraphWeights::l2_penalty`] in the weights,
+    /// `((λ/n)·2)·w`: the order in which the tape's `Mean` and `PowScalar`
+    /// backward rules evaluate it, so the two agree bitwise.
+    pub fn l2_grad(&self, lambda: f32) -> Tensor {
+        let c = lambda / self.len().max(1) as f32 * 2.0;
+        self.param.value.map(|x| c * x)
+    }
+
+    /// One hand-written step of the inner objective
+    /// `dec(w_full) + λ·mean(w²)`, where `w_full` is `globals` (the
+    /// memory's weight prefix) followed by these weights. Returns the
+    /// decorrelation value and the gradient in these weights: the ℓ² term
+    /// first, the decorrelation part `axpy`'d onto it, as
+    /// [`tensor::Tape::backward`] accumulates the two.
+    pub fn objective_and_grad(
+        &self,
+        lifted: &Lifted,
+        globals: &[f32],
+        lambda: f32,
+    ) -> (f32, Tensor) {
+        let kb = globals.len();
+        let w_full = Tensor::from_vec(
+            [globals, self.values().data()].concat(),
+            [kb + self.len(), 1],
+        );
+        let (dec, g_full) = lifted.penalty_and_grad(&w_full);
+        let mut grad = self.l2_grad(lambda);
+        tensor::simd::axpy_assign(grad.data_mut(), 1.0, &g_full.data()[kb..]);
+        (dec, grad)
     }
 
     /// Summary statistics of the current weights (see [`weight_stats`]).
@@ -187,7 +214,7 @@ mod tests {
         let mut w = GraphWeights::uniform(3);
         let mut opt = Sgd::new(0.5);
         let mut tape = Tape::new();
-        let wn = w.bind(&mut tape);
+        let wn = w.param_mut().bind(&mut tape);
         // Loss pushing first weight up: -w[0] via mask.
         let mask = tape.constant(Tensor::from_vec(vec![-1.0, 0.0, 0.0], [3]));
         let l = tape.mul(wn, mask);
@@ -241,9 +268,9 @@ mod tests {
 
     #[test]
     fn l2_penalty_value() {
-        let mut w = GraphWeights::uniform(2);
+        let w = GraphWeights::uniform(2);
         let mut tape = Tape::new();
-        let wn = w.bind(&mut tape);
+        let wn = tape.leaf(w.values().clone());
         let p = w.l2_penalty(&mut tape, wn, 2.0);
         assert!((tape.value(p).item() - 2.0).abs() < 1e-6); // 2 * mean(1,1)
     }

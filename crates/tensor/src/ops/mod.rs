@@ -236,13 +236,11 @@ impl Op {
             Op::SegmentMax(a, seg, n) => segment_extreme(v(a), &csr::cached(seg, *n), true).0,
             Op::SegmentMin(a, seg, n) => segment_extreme(v(a), &csr::cached(seg, *n), false).0,
             Op::LogSoftmax(a) => log_softmax(v(a)),
-            Op::WeightedCenter(a, b) => weighted_center_forward(v(a), v(b)),
+            Op::WeightedCenter(a, b) => weighted_center(v(a), v(b)),
             Op::ScaledMaskedSqSum(a, mask, scale) => {
-                scaled_masked_sq_sum_forward(v(a), mask, *scale)
+                Tensor::scalar(scaled_masked_sq_sum(v(a), mask, *scale))
             }
-            Op::CosFeature(a, w_row, phi_row, amp) => {
-                cos_feature_forward(v(a), w_row, phi_row, *amp)
-            }
+            Op::CosFeature(a, w_row, phi_row, amp) => cos_feature(v(a), w_row, phi_row, *amp),
         }
     }
 
@@ -418,7 +416,10 @@ impl Op {
                 vec![(*a, gx), (*b, gw)]
             }
             Op::ScaledMaskedSqSum(a, mask, scale) => {
-                vec![(*a, scaled_masked_sq_sum_backward(v(a), mask, *scale, grad))]
+                vec![(
+                    *a,
+                    scaled_masked_sq_sum_grad(v(a), mask, *scale, grad.item()),
+                )]
             }
             Op::CosFeature(a, w_row, phi_row, amp) => {
                 vec![(*a, cos_feature_backward(v(a), w_row, phi_row, *amp, grad))]
@@ -637,10 +638,11 @@ fn colmeans(data: &[f32], n: usize, d: usize) -> Vec<f32> {
     m
 }
 
-/// Forward for [`Op::WeightedCenter`]: `y = w ⊙ x − colmean(w ⊙ x)`.
-/// Two passes over one output buffer; the unfused chain materializes
-/// three intermediates and walks the matrix four times.
-fn weighted_center_forward(x: &Tensor, w: &Tensor) -> Tensor {
+/// `w ⊙ x − colmean(w ⊙ x)` for `x: [n,d]` and one weight per row
+/// (`w: [n,1]` or `[n]`) — the forward of [`Op::WeightedCenter`]. Two
+/// passes over one output buffer; the unfused chain materializes three
+/// intermediates and walks the matrix four times.
+pub fn weighted_center(x: &Tensor, w: &Tensor) -> Tensor {
     let (n, d) = x.shape().as_matrix();
     let mut data = pool::take_raw(n * d);
     par::for_each_row(
@@ -690,34 +692,46 @@ fn weighted_center_backward(x: &Tensor, w: &Tensor, grad: &Tensor) -> (Tensor, T
             }
         },
     );
+    (
+        Tensor::from_vec(gx, [n, d]),
+        weighted_center_grad_w(x, grad),
+    )
+}
+
+/// The weight half of [`Op::WeightedCenter`]'s backward: `gw: [n,1]` with
+/// `gw[i] = Σ_j x[i,j]·(g[i,j] − ḡ[j])`. Callers whose `x` is a constant
+/// need only this half.
+pub fn weighted_center_grad_w(x: &Tensor, grad: &Tensor) -> Tensor {
+    let (n, d) = x.shape().as_matrix();
+    let gmean = colmeans(grad.data(), n, d);
     let mut gw = pool::take_raw(n);
     par::fill(&mut gw, row_grain(d), Kernel::Reduce, |i| {
         simd::center_dot(x.row(i), grad.row(i), &gmean)
     });
-    (Tensor::from_vec(gx, [n, d]), Tensor::from_vec(gw, [n, 1]))
+    Tensor::from_vec(gw, [n, 1])
 }
 
-/// Forward for [`Op::ScaledMaskedSqSum`]: `Σ ((scale·x) ⊙ mask)²` as a
-/// chunked tree reduction (deterministic at any thread count).
-fn scaled_masked_sq_sum_forward(x: &Tensor, mask: &Tensor, scale: f32) -> Tensor {
+/// `Σ ((scale·x) ⊙ mask)²` as a chunked tree reduction (deterministic at
+/// any thread count) — the forward of [`Op::ScaledMaskedSqSum`].
+pub fn scaled_masked_sq_sum(x: &Tensor, mask: &Tensor, scale: f32) -> f32 {
     let xd = x.data();
     let md = mask.data();
-    let total = par::map_reduce(
+    par::map_reduce(
         xd.len(),
         4096,
         Kernel::Reduce,
         |range| simd::masked_sq_sum(&xd[range.clone()], &md[range], scale),
         |a, b| a + b,
     )
-    .unwrap_or(0.0);
-    Tensor::scalar(total)
+    .unwrap_or(0.0)
 }
 
-/// Backward for [`Op::ScaledMaskedSqSum`]: `gx = g · 2·scale²·x ⊙ mask²`.
-fn scaled_masked_sq_sum_backward(x: &Tensor, mask: &Tensor, scale: f32, grad: &Tensor) -> Tensor {
+/// Backward of [`scaled_masked_sq_sum`] for an incoming scalar gradient
+/// `g`: `gx = g · 2·scale²·x ⊙ mask²`.
+pub fn scaled_masked_sq_sum_grad(x: &Tensor, mask: &Tensor, scale: f32, g: f32) -> Tensor {
     let xd = x.data();
     let md = mask.data();
-    let coef = 2.0 * scale * scale * grad.item();
+    let coef = 2.0 * scale * scale * g;
     let mut gx = pool::take_raw(xd.len());
     par::fill(&mut gx, 4096, Kernel::Elementwise, |k| {
         coef * xd[k] * md[k] * md[k]
@@ -725,9 +739,9 @@ fn scaled_masked_sq_sum_backward(x: &Tensor, mask: &Tensor, scale: f32, grad: &T
     Tensor::from_vec(gx, x.shape().clone())
 }
 
-/// Forward for [`Op::CosFeature`]: `amp · cos(x ⊙ w_row + phi_row)` with
-/// the `[d]` rows broadcast over every row of `x`.
-fn cos_feature_forward(x: &Tensor, w_row: &Tensor, phi_row: &Tensor, amp: f32) -> Tensor {
+/// `amp · cos(x ⊙ w_row + phi_row)` with the `[d]` rows broadcast over
+/// every row of `x` — the forward of [`Op::CosFeature`].
+pub fn cos_feature(x: &Tensor, w_row: &Tensor, phi_row: &Tensor, amp: f32) -> Tensor {
     let (n, d) = x.shape().as_matrix();
     let wd = w_row.data();
     let pd = phi_row.data();

@@ -58,6 +58,41 @@ impl Adam {
         self
     }
 
+    /// One Adam update of `p` from the gradient `g`, with no tape: the body
+    /// of [`Optimizer::step`] for a single parameter, for callers that
+    /// compute their gradients by hand.
+    ///
+    /// The moments and the parameter are written in one pass per element,
+    /// with the same expressions in the same order as the tensor-op
+    /// formulation `m·β1 + g·(1−β1)`, `v·β2 + (g·g)·(1−β2)`.
+    pub fn update(&mut self, p: &mut Param, g: &Tensor) {
+        let g = clip_grad(g, self.max_grad_norm);
+        let st = self.state.entry(p.key()).or_insert_with(|| Moments {
+            m: Tensor::zeros(p.value.shape().clone()),
+            v: Tensor::zeros(p.value.shape().clone()),
+            t: 0,
+        });
+        st.t += 1;
+        let (b1, b2) = (self.beta1, self.beta2);
+        let bc1 = 1.0 - b1.powi(st.t as i32);
+        let bc2 = 1.0 - b2.powi(st.t as i32);
+        let (lr, eps) = (self.lr, self.eps);
+        let decay = -lr * self.weight_decay;
+        let m = st.m.data_mut();
+        let v = st.v.data_mut();
+        let pd = p.value.data_mut();
+        for (i, &gi) in g.data().iter().enumerate() {
+            m[i] = m[i] * b1 + gi * (1.0 - b1);
+            v[i] = v[i] * b2 + (gi * gi) * (1.0 - b2);
+            if self.weight_decay > 0.0 {
+                pd[i] += decay * pd[i];
+            }
+            let mhat = m[i] / bc1;
+            let vhat = v[i] / bc2;
+            pd[i] -= lr * mhat / (vhat.sqrt() + eps);
+        }
+    }
+
     /// Export the per-parameter moment state positionally, in the order of
     /// `params`, for checkpointing: two tensors per parameter (`m`, then
     /// `v`) plus the step counter `t`. Parameters that never received a
@@ -130,36 +165,8 @@ impl Optimizer for Adam {
     fn step(&mut self, params: Vec<&mut Param>, grads: &Gradients) {
         for p in params {
             let Some(node) = p.bound_node() else { continue };
-            let Some(g) = grads.get(node) else {
-                p.clear_binding();
-                continue;
-            };
-            let g = clip_grad(g, self.max_grad_norm);
-            let st = self.state.entry(p.key()).or_insert_with(|| Moments {
-                m: Tensor::zeros(p.value.shape().clone()),
-                v: Tensor::zeros(p.value.shape().clone()),
-                t: 0,
-            });
-            st.t += 1;
-            let b1 = self.beta1;
-            let b2 = self.beta2;
-            st.m = st.m.mul_scalar(b1).add(&g.mul_scalar(1.0 - b1));
-            let g2 = g.map(|x| x * x);
-            st.v = st.v.mul_scalar(b2).add(&g2.mul_scalar(1.0 - b2));
-            let bc1 = 1.0 - b1.powi(st.t as i32);
-            let bc2 = 1.0 - b2.powi(st.t as i32);
-            let eps = self.eps;
-            let lr = self.lr;
-            if self.weight_decay > 0.0 {
-                let wd = self.weight_decay;
-                let pv = p.value.clone();
-                p.value.axpy(-lr * wd, &pv);
-            }
-            let pd = p.value.data_mut();
-            for (i, slot) in pd.iter_mut().enumerate() {
-                let mhat = st.m.data()[i] / bc1;
-                let vhat = st.v.data()[i] / bc2;
-                *slot -= lr * mhat / (vhat.sqrt() + eps);
+            if let Some(g) = grads.get(node) {
+                self.update(p, g);
             }
             p.clear_binding();
         }
@@ -280,6 +287,30 @@ mod tests {
         assert_eq!(tensors.len(), 2);
         assert_eq!(steps, vec![0]);
         assert!(tensors.iter().all(|t| t.data().iter().all(|&x| x == 0.0)));
+    }
+
+    #[test]
+    fn one_pass_update_matches_the_tensor_op_formulation_bitwise() {
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (b1, b2, eps, lr, wd) = (0.9f32, 0.999f32, 1e-8f32, 0.01f32, 0.1f32);
+        let mut rng = Rng::seed_from(3);
+        let mut p = Param::new(Tensor::randn([37], &mut rng));
+        let mut reference = p.value.clone();
+        let (mut m, mut v) = (Tensor::zeros([37]), Tensor::zeros([37]));
+        let mut opt = Adam::new(lr).with_weight_decay(wd);
+        for t in 1..=5 {
+            let g = Tensor::randn([37], &mut rng);
+            opt.update(&mut p, &g);
+            m = m.mul_scalar(b1).add(&g.mul_scalar(1.0 - b1));
+            v = v.mul_scalar(b2).add(&g.map(|x| x * x).mul_scalar(1.0 - b2));
+            let (bc1, bc2) = (1.0 - b1.powi(t), 1.0 - b2.powi(t));
+            let pv = reference.clone();
+            reference.axpy(-lr * wd, &pv);
+            for (i, slot) in reference.data_mut().iter_mut().enumerate() {
+                *slot -= lr * (m.data()[i] / bc1) / ((v.data()[i] / bc2).sqrt() + eps);
+            }
+            assert_eq!(bits(&p.value), bits(&reference), "step {t}");
+        }
     }
 
     #[test]

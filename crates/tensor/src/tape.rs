@@ -102,16 +102,6 @@ impl Tape {
         self.nodes[id.0].value.shape()
     }
 
-    /// Clear the tape for the next replay while keeping the node arena's
-    /// capacity. Node buffers return to the thread's buffer pool
-    /// ([`crate::pool`]), so the next identically-shaped graph re-uses
-    /// them instead of hitting the allocator.
-    pub fn reset(&mut self) {
-        crate::profile::release_bytes(self.arena_bytes);
-        self.arena_bytes = 0;
-        self.nodes.clear();
-    }
-
     /// Record a differentiable leaf (a parameter or an input that needs
     /// gradients).
     pub fn leaf(&mut self, value: Tensor) -> NodeId {

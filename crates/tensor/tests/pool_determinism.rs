@@ -1,9 +1,10 @@
 //! Buffer-pool neutrality at the tensor layer: recycling buffers through
 //! the pool must never change a single bit of any result. A tape graph
 //! exercising the fused kernels (cos_feature, weighted_center,
-//! scaled_masked_sq_sum), matmul and backward is replayed over a reset
-//! tape — exactly the trainer's inner-loop pattern — with the pool on and
-//! off, at 1 and 4 threads, and every value must match bitwise.
+//! scaled_masked_sq_sum), matmul and backward is replayed on a fresh tape
+//! each time, so every replay draws the previous one's buffers from the
+//! pool, with the pool on and off, at 1 and 4 threads, and every value
+//! must match bitwise.
 
 use ood_tensor::rng::Rng;
 use ood_tensor::{par, pool, Tape, Tensor};
@@ -14,7 +15,7 @@ use std::sync::Mutex;
 /// serialize tests touching them.
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
-/// Five replays of a loss + gradient graph over one reset tape; returns
+/// Five replays of a loss + gradient graph; returns
 /// every loss value and gradient element produced.
 fn workload() -> Vec<f32> {
     let mut rng = Rng::seed_from(3);
@@ -37,9 +38,8 @@ fn workload() -> Vec<f32> {
     let mask = Rc::new(mask);
 
     let mut out = Vec::new();
-    let mut tape = Tape::new();
     for _ in 0..5 {
-        tape.reset();
+        let mut tape = Tape::new();
         let xn = tape.leaf(x.clone());
         let wn = tape.leaf(w.clone());
         let feat = tape.cos_feature(xn, w_row.clone(), phi_row.clone(), std::f32::consts::SQRT_2);
