@@ -17,6 +17,7 @@ use bench::{fmt_ns, Harness};
 use std::rc::Rc;
 use tensor::csr::CsrIndex;
 use tensor::fnv::Fnv1a;
+use tensor::ops::{batch_norm, BatchNormStats};
 use tensor::rng::Rng;
 use tensor::shape::reduce_grad_to;
 use tensor::{Shape, Tape, Tensor};
@@ -164,6 +165,72 @@ fn cases() -> Vec<Case> {
         v.push(Case {
             name: "neighbor_sum_5400x32",
             run: Box::new(move || x.gather_scatter_csr(&src, &csr).into_vec()),
+        });
+    }
+
+    // Fused batch norm on a D&D-sized GIN hidden layer: the batch
+    // statistics (16-column blocks, ascending rows, `powf` squares) and
+    // the row-parallel normalization.
+    {
+        let mut rng = Rng::seed_from(13);
+        let x = Tensor::randn([5400, 32], &mut rng).mul_scalar(2.0);
+        let gamma = Tensor::rand_uniform([32], 0.5, 2.0, &mut rng);
+        let beta = Tensor::randn([32], &mut rng);
+        v.push(Case {
+            name: "batch_norm_5400x32",
+            run: Box::new(move || {
+                let stats = BatchNormStats::of_batch(&x, 1e-5);
+                batch_norm::forward(&x, &gamma, &beta, &stats).into_vec()
+            }),
+        });
+    }
+
+    // Its training backward: the fold pass, the elementwise pass that
+    // folds `gμ`, and the add pass, per 16-column block.
+    {
+        let mut rng = Rng::seed_from(14);
+        let x = Tensor::randn([5400, 32], &mut rng).mul_scalar(2.0);
+        let gamma = Tensor::rand_uniform([32], 0.5, 2.0, &mut rng);
+        let beta = Tensor::randn([32], &mut rng);
+        let g = Tensor::randn([5400, 32], &mut rng);
+        let stats = BatchNormStats::of_batch(&x, 1e-5);
+        v.push(Case {
+            name: "batch_norm_backward_5400x32",
+            run: Box::new(move || {
+                let grads = batch_norm::backward(&x, &gamma, &beta, &stats, &g, true);
+                let mut out = grads.x.expect("asked for gx").into_vec();
+                out.extend_from_slice(grads.gamma.data());
+                out.extend_from_slice(grads.beta.data());
+                out
+            }),
+        });
+    }
+
+    // The fused Linear op forward and backward on the same batch: matmul
+    // with the bias in its row pass, then `G·Wᵀ`, `xᵀ·G` read in place,
+    // and the bias column fold.
+    {
+        let mut rng = Rng::seed_from(15);
+        let x = Tensor::randn([5400, 32], &mut rng).map(|v| v.max(0.0));
+        let w = Tensor::randn([32, 32], &mut rng);
+        let b = Tensor::randn([32], &mut rng);
+        let g = Tensor::randn([5400, 32], &mut rng);
+        v.push(Case {
+            name: "linear_5400x32",
+            run: Box::new(move || {
+                let mut tape = Tape::new();
+                let ids = [&x, &w, &b].map(|t| tape.leaf(t.clone()));
+                let y = tape.linear(ids[0], ids[1], ids[2]);
+                let gc = tape.constant(g.clone());
+                let prod = tape.mul(y, gc);
+                let loss = tape.sum(prod);
+                let grads = tape.backward(loss);
+                let mut out = tape.value(y).data().to_vec();
+                for id in ids {
+                    out.extend_from_slice(grads.get(id).expect("leaf gradient").data());
+                }
+                out
+            }),
         });
     }
 

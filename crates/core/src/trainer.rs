@@ -526,9 +526,11 @@ impl OodGnn {
                     weight_of.insert(gi, w.values().data()[i]);
                 }
                 // Line 9: weighted prediction loss on the same tape.
-                let logits = self.model.predict_from_rep(&mut tape, z, Mode::Train);
-                let per_sample = per_sample_loss(&mut tape, logits, ds, chunk);
-                let loss = weighted_mean(&mut tape, per_sample, w.values());
+                let loss = trace::span::time("head", || {
+                    let logits = self.model.predict_from_rep(&mut tape, z, Mode::Train);
+                    let per_sample = per_sample_loss(&mut tape, logits, ds, chunk);
+                    weighted_mean(&mut tape, per_sample, w.values())
+                });
                 let loss_value = tape.value(loss).item();
                 if opts.health.check_finite && !loss_value.is_finite() {
                     health.skipped_steps += 1;
@@ -538,7 +540,8 @@ impl OodGnn {
                 }
                 epoch_loss += loss_value;
                 batches += 1;
-                let grads = tape.backward(loss);
+                let grads = trace::span::time("backward", || tape.backward(loss));
+                let _optim_span = trace::span!("optim");
                 let params = self.model.params_mut();
                 if trace::enabled() || opts.health.check_finite {
                     let gn = tensor::optim::global_grad_norm(&params, &grads);

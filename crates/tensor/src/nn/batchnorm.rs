@@ -1,16 +1,18 @@
 //! 1-D batch normalization with running statistics.
 
 use super::module::{Module, Param};
-use crate::ops::Axis;
+use crate::ops::BatchNormStats;
 use crate::tape::{NodeId, Tape};
 use crate::tensor::Tensor;
 use crate::Mode;
+use std::rc::Rc;
 
 /// BatchNorm over the feature dimension of `[n, d]` inputs.
 ///
 /// Training mode normalizes with differentiable batch statistics and updates
 /// exponential running statistics; evaluation mode uses the running
-/// statistics as constants (standard `BatchNorm1d` semantics).
+/// statistics as constants (standard `BatchNorm1d` semantics). Either way
+/// the forward pass records one fused tape op.
 pub struct BatchNorm1d {
     gamma: Param,
     beta: Param,
@@ -57,21 +59,25 @@ impl BatchNorm1d {
         &self.running_var
     }
 
-    /// Forward pass on `[n, d]`.
+    /// Forward pass on `[n, d]`, recorded as one [`Tape::batch_norm`] op.
+    ///
+    /// Training mode computes the batch statistics once, updates the
+    /// running statistics from them, and normalizes with them; evaluation
+    /// mode normalizes with the running statistics.
+    ///
+    /// The op is bitwise-equal to the unfused chain only while `x` has no
+    /// other consumer, as for the `Linear` output every caller passes
+    /// (see [`crate::ops::batch_norm`]).
     pub fn forward(&mut self, tape: &mut Tape, x: NodeId, mode: Mode) -> NodeId {
         let (n, d) = tape.shape(x).as_matrix();
         assert_eq!(d, self.dim, "BatchNorm1d: input dim {d} != {}", self.dim);
         let gamma = self.gamma.bind(tape);
         let beta = self.beta.bind(tape);
-        match mode {
+        let stats = match mode {
             Mode::Train => {
-                let mu = tape.mean_axis(x, Axis::Rows);
-                let xc = tape.sub(x, mu);
-                let sq = tape.square(xc);
-                let var = tape.mean_axis(sq, Axis::Rows);
-                // Update running stats from the (detached) batch statistics.
-                let mu_v = tape.value(mu).clone();
-                let var_v = tape.value(var).clone();
+                let stats = BatchNormStats::of_batch(tape.value(x), self.eps);
+                let mu_v = Tensor::from_vec(stats.mean().to_vec(), [d]);
+                let var_v = Tensor::from_vec(stats.var().to_vec(), [d]);
                 let unbias = if n > 1 {
                     n as f32 / (n as f32 - 1.0)
                 } else {
@@ -86,22 +92,11 @@ impl BatchNorm1d {
                     .mul_scalar(1.0 - self.momentum)
                     .add(&var_v.mul_scalar(self.momentum * unbias));
                 self.batches_seen += 1;
-                let var_eps = tape.add_scalar(var, self.eps);
-                let std = tape.sqrt(var_eps);
-                let norm = tape.div(xc, std);
-                let scaled = tape.mul(norm, gamma);
-                tape.add(scaled, beta)
+                stats
             }
-            Mode::Eval => {
-                let mu = tape.constant(self.running_mean.clone());
-                let var = tape.constant(self.running_var.add_scalar(self.eps));
-                let xc = tape.sub(x, mu);
-                let std = tape.sqrt(var);
-                let norm = tape.div(xc, std);
-                let scaled = tape.mul(norm, gamma);
-                tape.add(scaled, beta)
-            }
-        }
+            Mode::Eval => BatchNormStats::running(&self.running_mean, &self.running_var, self.eps),
+        };
+        tape.batch_norm(x, gamma, beta, Rc::new(stats))
     }
 }
 

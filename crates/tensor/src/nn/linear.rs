@@ -45,13 +45,12 @@ impl Linear {
         let (_, c) = tape.shape(x).as_matrix();
         assert_eq!(c, self.in_dim, "Linear: input dim {c} != {}", self.in_dim);
         let w = self.weight.bind(tape);
-        let y = tape.matmul(x, w);
         match &mut self.bias {
             Some(b) => {
                 let bid = b.bind(tape);
-                tape.add(y, bid)
+                tape.linear(x, w, bid)
             }
-            None => y,
+            None => tape.matmul(x, w),
         }
     }
 }

@@ -5,7 +5,10 @@
 //! finite-difference gradient checks (see `crate::check` and the crate's
 //! integration tests).
 
+pub mod batch_norm;
 pub mod loss;
+
+pub use batch_norm::BatchNormStats;
 
 use crate::csr::{self, CsrIndex};
 use crate::par;
@@ -71,6 +74,9 @@ pub enum Op {
     PowScalar(NodeId, f32),
     /// Dense 2-D matrix product.
     Matmul(NodeId, NodeId),
+    /// Affine map `x·W + b` for `x: [n,k]`, `W: [k,m]`, `b: [m]` — the
+    /// `matmul → add` chain with the bias added in the matmul's row pass.
+    Linear(NodeId, NodeId, NodeId),
     /// 2-D transpose.
     Transpose(NodeId),
     /// Rectified linear unit.
@@ -131,6 +137,11 @@ pub enum Op {
     /// `[d]` rows broadcast over the rows of `x: [n,d]` — one node per
     /// feature instead of four ops plus two constant nodes.
     CosFeature(NodeId, Rc<Tensor>, Rc<Tensor>, f32),
+    /// Fused batch normalization `((x − μ)/σ)·γ + β` of `x: [n,d]` with
+    /// per-column statistics: the nine-op training chain (or the
+    /// five-op evaluation chain) as one op, bitwise-equal to it. See
+    /// [`batch_norm`].
+    BatchNorm(NodeId, NodeId, NodeId, Rc<BatchNormStats>),
 }
 
 impl Op {
@@ -173,6 +184,7 @@ impl Op {
             | Op::LogSoftmax(a)
             | Op::ScaledMaskedSqSum(a, _, _)
             | Op::CosFeature(a, _, _, _) => vec![*a],
+            Op::Linear(a, b, c) | Op::BatchNorm(a, b, c, _) => vec![*a, *b, *c],
             Op::ConcatRows(xs) | Op::ConcatCols(xs) => xs.as_ref().clone(),
         }
     }
@@ -191,6 +203,7 @@ impl Op {
             Op::MulScalar(a, c) => v(a).mul_scalar(*c),
             Op::PowScalar(a, p) => v(a).map(|x| x.powf(*p)),
             Op::Matmul(a, b) => v(a).matmul(v(b)),
+            Op::Linear(x, w, b) => v(x).matmul_bias(v(w), Some(v(b))),
             Op::Transpose(a) => v(a).transpose(),
             Op::Relu(a) => v(a).map(|x| x.max(0.0)),
             Op::Sigmoid(a) => v(a).map(sigmoid),
@@ -241,11 +254,16 @@ impl Op {
                 Tensor::scalar(scaled_masked_sq_sum(v(a), mask, *scale))
             }
             Op::CosFeature(a, w_row, phi_row, amp) => cos_feature(v(a), w_row, phi_row, *amp),
+            Op::BatchNorm(x, gamma, beta, stats) => {
+                batch_norm::forward(v(x), v(gamma), v(beta), stats)
+            }
         }
     }
 
     /// Given the output `value` and the incoming gradient `grad`, compute the
-    /// gradients flowing into each input.
+    /// gradients flowing into each input. The multi-operand ops compute an
+    /// operand's gradient only when that operand needs one: constants
+    /// (input features, dropout masks, degree counts) get none.
     pub(crate) fn backward(
         &self,
         tape: &Tape,
@@ -255,31 +273,35 @@ impl Op {
         let v = |id: &NodeId| tape.value(*id);
         match self {
             Op::Leaf => vec![],
-            Op::Add(a, b) => vec![
-                (*a, reduce_grad_to(grad, v(a).shape())),
-                (*b, reduce_grad_to(grad, v(b).shape())),
-            ],
-            Op::Sub(a, b) => vec![
-                (*a, reduce_grad_to(grad, v(a).shape())),
-                (*b, operand_grad(grad, grad, v(b), |g, _| -g)),
-            ],
+            Op::Add(a, b) => tape.operand_grads([
+                (*a, &|| reduce_grad_to(grad, v(a).shape())),
+                (*b, &|| reduce_grad_to(grad, v(b).shape())),
+            ]),
+            Op::Sub(a, b) => tape.operand_grads([
+                (*a, &|| reduce_grad_to(grad, v(a).shape())),
+                (*b, &|| operand_grad(grad, grad, v(b), |g, _| -g)),
+            ]),
             Op::Mul(a, b) => {
                 let (va, vb) = (v(a), v(b));
-                vec![
-                    (*a, operand_grad(grad, vb, va, |g, bb| g * bb)),
-                    (*b, operand_grad(grad, va, vb, |g, aa| g * aa)),
-                ]
+                tape.operand_grads([
+                    (*a, &|| operand_grad(grad, vb, va, |g, bb| g * bb)),
+                    (*b, &|| operand_grad(grad, va, vb, |g, aa| g * aa)),
+                ])
             }
             Op::Div(a, b) => {
                 let (va, vb) = (v(a), v(b));
-                // An unbroadcast `b` has nothing to fold.
-                let gb = if vb.shape() == grad.shape() {
-                    let gnum = grad.zip_broadcast(va, |g, aa| g * aa);
-                    gnum.zip_broadcast(vb, |t, bb| -t / (bb * bb))
-                } else {
-                    fold_grad_to(grad, va, vb, |g, aa, bb| -(g * aa) / (bb * bb))
-                };
-                vec![(*a, operand_grad(grad, vb, va, |g, bb| g / bb)), (*b, gb)]
+                tape.operand_grads([
+                    (*a, &|| operand_grad(grad, vb, va, |g, bb| g / bb)),
+                    (*b, &|| {
+                        // An unbroadcast `b` has nothing to fold.
+                        if vb.shape() == grad.shape() {
+                            let gnum = grad.zip_broadcast(va, |g, aa| g * aa);
+                            gnum.zip_broadcast(vb, |t, bb| -t / (bb * bb))
+                        } else {
+                            fold_grad_to(grad, va, vb, |g, aa, bb| -(g * aa) / (bb * bb))
+                        }
+                    }),
+                ])
             }
             Op::Neg(a) => vec![(*a, grad.map(|x| -x))],
             Op::AddScalar(a, _) => vec![(*a, grad.clone())],
@@ -294,11 +316,15 @@ impl Op {
                 };
                 vec![(*a, g)]
             }
-            Op::Matmul(a, b) => {
-                let ga = grad.matmul(&v(b).transpose());
-                let gb = v(a).transpose().matmul(grad);
-                vec![(*a, ga), (*b, gb)]
-            }
+            Op::Matmul(a, b) => tape.operand_grads([
+                (*a, &|| grad.matmul(&v(b).transpose())),
+                (*b, &|| v(a).matmul_tn(grad)),
+            ]),
+            Op::Linear(x, w, b) => tape.operand_grads([
+                (*x, &|| grad.matmul(&v(w).transpose())),
+                (*w, &|| v(x).matmul_tn(grad)),
+                (*b, &|| reduce_grad_to(grad, v(b).shape())),
+            ]),
             Op::Transpose(a) => vec![(*a, grad.transpose())],
             Op::Relu(a) => {
                 let g = grad.zip_broadcast(v(a), |g, x| if x > 0.0 { g } else { 0.0 });
@@ -423,6 +449,14 @@ impl Op {
             }
             Op::CosFeature(a, w_row, phi_row, amp) => {
                 vec![(*a, cos_feature_backward(v(a), w_row, phi_row, *amp, grad))]
+            }
+            Op::BatchNorm(x, gamma, beta, stats) => {
+                // `gγ` and `gβ` share the fold pass; `gx` is the expensive part.
+                let want_x = tape.nodes[x.0].needs_grad;
+                let g = batch_norm::backward(v(x), v(gamma), v(beta), stats, grad, want_x);
+                let mut out = vec![(*gamma, g.gamma), (*beta, g.beta)];
+                out.extend(g.x.map(|gx| (*x, gx)));
+                out
             }
             Op::LogSoftmax(a) => {
                 // dx = g - softmax(x) * rowsum(g)
@@ -790,6 +824,19 @@ fn cos_feature_backward(
 // -------------------------------------------------------------------------
 
 impl Tape {
+    /// `(id, gradient)` for each operand that needs a gradient, in
+    /// operand order; the other operands' gradient closures never run.
+    fn operand_grads<const N: usize>(
+        &self,
+        parts: [(NodeId, &dyn Fn() -> Tensor); N],
+    ) -> Vec<(NodeId, Tensor)> {
+        parts
+            .into_iter()
+            .filter(|(id, _)| self.nodes[id.0].needs_grad)
+            .map(|(id, g)| (id, g()))
+            .collect()
+    }
+
     fn check_broadcast(&self, a: NodeId, b: NodeId, what: &str) {
         assert!(
             broadcast_shapes(self.shape(a), self.shape(b)).is_some(),
@@ -860,6 +907,53 @@ impl Tape {
             self.shape(b)
         );
         self.record(Op::Matmul(a, b))
+    }
+
+    /// Affine map `x·W + b` for `x: [n,k]`, `W: [k,m]` and a bias of `m`
+    /// entries: bitwise `add(matmul(x, W), b)` in one op, whose backward
+    /// reads the weight gradient `xᵀ·G` in place.
+    pub fn linear(&mut self, x: NodeId, w: NodeId, b: NodeId) -> NodeId {
+        let (_, k) = self.shape(x).as_matrix();
+        let (k2, m) = self.shape(w).as_matrix();
+        assert_eq!(
+            k,
+            k2,
+            "linear: inner dims {} vs {}",
+            self.shape(x),
+            self.shape(w)
+        );
+        assert_eq!(
+            self.shape(b).numel(),
+            m,
+            "linear: bias {} for {m} outputs",
+            self.shape(b)
+        );
+        self.record(Op::Linear(x, w, b))
+    }
+
+    /// Batch normalization `((x − μ)/σ)·γ + β` of `x: [n,d]` with
+    /// per-column `[d]` parameters `γ`, `β` and the given statistics —
+    /// batch statistics ([`BatchNormStats::of_batch`]), which gradients
+    /// flow through, or fixed running ones ([`BatchNormStats::running`]).
+    /// Bitwise-equal to the unfused chain while `x` feeds nothing else
+    /// (see [`batch_norm`]).
+    pub fn batch_norm(
+        &mut self,
+        x: NodeId,
+        gamma: NodeId,
+        beta: NodeId,
+        stats: Rc<BatchNormStats>,
+    ) -> NodeId {
+        let (_, d) = self.shape(x).as_matrix();
+        for (what, id) in [("gamma", gamma), ("beta", beta)] {
+            assert_eq!(
+                self.shape(id).numel(),
+                d,
+                "batch_norm: {what} for {d} columns"
+            );
+        }
+        assert_eq!(stats.dim(), d, "batch_norm: statistics for {d} columns");
+        self.record(Op::BatchNorm(x, gamma, beta, stats))
     }
 
     /// 2-D transpose.

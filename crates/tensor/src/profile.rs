@@ -14,7 +14,7 @@ use crate::ops::Op;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of [`Op`] kinds tracked (one counter per enum variant).
-pub const N_OPS: usize = 36;
+pub const N_OPS: usize = 38;
 
 /// Display names, indexed like the per-op counters.
 pub const OP_NAMES: [&str; N_OPS] = [
@@ -54,6 +54,8 @@ pub const OP_NAMES: [&str; N_OPS] = [
     "scaled_masked_sq_sum",
     "cos_feature",
     "neighbor_sum",
+    "linear",
+    "batch_norm",
 ];
 
 pub(crate) fn op_kind(op: &Op) -> usize {
@@ -94,6 +96,8 @@ pub(crate) fn op_kind(op: &Op) -> usize {
         Op::ScaledMaskedSqSum(..) => 33,
         Op::CosFeature(..) => 34,
         Op::NeighborSum(..) => 35,
+        Op::Linear(..) => 36,
+        Op::BatchNorm(..) => 37,
     }
 }
 

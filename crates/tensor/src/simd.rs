@@ -339,6 +339,92 @@ fn matmul_row_body<const SKIP_ZERO: bool>(a_row: &[f32], b: &[f32], n: usize, ou
     }
 }
 
+/// Rows `p..p + R` of `C = Aᵀ·G` for row-major `a: [m, k]` and
+/// `g: [m, n]`, written to `out` (`R` rows of `n`): `out[r][j] =
+/// Σ_i a[i, p + r] · g[i, j]`, read from `a` in place.
+///
+/// The same schedule as [`matmul_row`] on a row of the materialized
+/// transpose: each output starts at `+0.0` and accumulates over `i` in
+/// ascending order, in 16-column register tiles (here `R` × 16), with
+/// the tail columns in a zeroed tile. `SKIP_ZERO` skips zero `a[i, p+r]`
+/// exactly as [`matmul_row_guarded`] does, for a `g` holding ±∞ or NaN.
+#[inline(always)]
+fn matmul_tn_body<const SKIP_ZERO: bool, const R: usize>(
+    a: &[f32],
+    k: usize,
+    p: usize,
+    g: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    debug_assert_eq!(out.len(), R * n);
+    let rows = || a.chunks_exact(k).zip(g.chunks_exact(n));
+    let mut j0 = 0;
+    while j0 + MM_TILE <= n {
+        let mut acc = [[0.0f32; MM_TILE]; R];
+        for (a_row, g_row) in rows() {
+            let g_tile: &[f32; MM_TILE] = g_row[j0..j0 + MM_TILE]
+                .try_into()
+                .expect("a full 16-column tile");
+            for (acc_r, &av) in acc.iter_mut().zip(&a_row[p..p + R]) {
+                if SKIP_ZERO && av == 0.0 {
+                    continue;
+                }
+                for l in 0..MM_TILE {
+                    acc_r[l] += av * g_tile[l];
+                }
+            }
+        }
+        for (r, tile) in acc.iter().enumerate() {
+            out[r * n + j0..r * n + j0 + MM_TILE].copy_from_slice(tile);
+        }
+        j0 += MM_TILE;
+    }
+    if j0 < n {
+        // Tail columns: the same order, in a zeroed partial tile.
+        let w = n - j0;
+        let mut acc = [[0.0f32; MM_TILE]; R];
+        for (a_row, g_row) in rows() {
+            for (acc_r, &av) in acc.iter_mut().zip(&a_row[p..p + R]) {
+                if SKIP_ZERO && av == 0.0 {
+                    continue;
+                }
+                for (o, &gv) in acc_r.iter_mut().zip(&g_row[j0..]) {
+                    *o += av * gv;
+                }
+            }
+        }
+        for (r, tile) in acc.iter().enumerate() {
+            out[r * n + j0..(r + 1) * n].copy_from_slice(&tile[..w]);
+        }
+    }
+}
+
+/// Rows `p..p + out.len() / n` (one or two) of `C = Aᵀ·G` — the weight
+/// gradient of `A·W` — without materializing `Aᵀ`. `g` must be all finite
+/// unless `guarded`, which skips zero entries of `A` so `0 · ∞` never
+/// enters a sum. Bitwise-equal to [`matmul_row`] /
+/// [`matmul_row_guarded`] on the rows of `A`'s transpose.
+pub(crate) fn matmul_tn_rows(
+    a: &[f32],
+    k: usize,
+    p: usize,
+    g: &[f32],
+    n: usize,
+    guarded: bool,
+    out: &mut [f32],
+) {
+    if n == 0 {
+        return;
+    }
+    match (guarded, out.len() / n) {
+        (false, 2) => matmul_tn_body::<false, 2>(a, k, p, g, n, out),
+        (true, 2) => matmul_tn_body::<true, 2>(a, k, p, g, n, out),
+        (false, _) => matmul_tn_body::<false, 1>(a, k, p, g, n, out),
+        (true, _) => matmul_tn_body::<true, 1>(a, k, p, g, n, out),
+    }
+}
+
 /// True when no element is ±∞ or NaN: `x · 0` is `±0.0` exactly for
 /// finite `x` and NaN otherwise, so the branch-free lane sum of those
 /// products is zero iff every element is finite.

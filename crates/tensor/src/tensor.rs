@@ -560,8 +560,15 @@ impl Tensor {
     /// at `+0.0`, which cannot change it); a non-finite `other` takes
     /// [`simd::matmul_row_guarded`], which skips zero `a[k]` so `0 · ∞`
     /// never enters the sum. The pool cutoff counts multiply-adds, so a
-    /// long inner dimension (the `Aᵀ·G` weight gradient) fans out too.
+    /// long inner dimension fans out too.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
+        self.matmul_bias(other, None)
+    }
+
+    /// `self @ other + bias` with the `[n]` bias added to each output row
+    /// in the same row pass, after its `k` loop: the same single rounding
+    /// as a separate broadcast add, without the second pass.
+    pub(crate) fn matmul_bias(&self, other: &Tensor, bias: Option<&Tensor>) -> Tensor {
         let (m, k) = self.shape.as_matrix();
         let (k2, n) = other.shape.as_matrix();
         assert_eq!(
@@ -569,26 +576,67 @@ impl Tensor {
             "matmul inner dims: {} vs {}",
             self.shape, other.shape
         );
-        let mut out = Tensor::zeros([m, n]);
+        let mut out = pool::take_raw(m * n);
         let grain_rows = (MATMUL_GRAIN_OPS / (k * n).max(1)).max(1);
         let b_finite = simd::all_finite(&other.data);
+        // The microkernel accumulates its tail columns into the row.
+        let tail = n - n % (2 * simd::LANES);
         par::for_each_row_weighted(
-            out.data.make_mut(),
+            &mut out,
             m,
             n,
             grain_rows,
             Kernel::Matmul,
             m * k * n,
             |i, out_row| {
+                out_row[tail..].fill(0.0);
                 let a_row = &self.data[i * k..(i + 1) * k];
                 if b_finite {
                     simd::matmul_row(a_row, &other.data, n, out_row);
                 } else {
                     simd::matmul_row_guarded(a_row, &other.data, n, out_row);
                 }
+                if let Some(b) = bias {
+                    simd::add_assign(out_row, &b.data);
+                }
             },
         );
-        out
+        Tensor::from_raw(out, Shape::new(&[m, n]))
+    }
+
+    /// `selfᵀ @ other` for `self: [m, k]` and `other: [m, n]`, giving
+    /// `[k, n]` — the weight gradient `Aᵀ·G` — read from `self` in place
+    /// instead of through [`Tensor::transpose`]. Bitwise-equal to
+    /// `self.transpose().matmul(other)`: each output accumulates over `i`
+    /// in ascending order from `+0.0`, and zero entries of `self` are
+    /// skipped only when `other` is not all finite. Parallel over pairs
+    /// of output rows, each a 2 × 16 register tile.
+    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        let (m, k) = self.shape.as_matrix();
+        let (m2, n) = other.shape.as_matrix();
+        assert_eq!(
+            m, m2,
+            "matmul_tn outer dims: {} vs {}",
+            self.shape, other.shape
+        );
+        let mut out = pool::take_raw(k * n);
+        let guarded = !simd::all_finite(&other.data);
+        let pairs = k.div_ceil(2);
+        let grain = (MATMUL_GRAIN_OPS / (2 * m * n).max(1)).max(1);
+        let base = par::SendPtr(out.as_mut_ptr());
+        par::for_each_chunk_weighted(pairs, grain, Kernel::Matmul, m * k * n, |range| {
+            for q in range {
+                let p = 2 * q;
+                let rows = (k - p).min(2);
+                // SAFETY: rows `p..p + rows` lie inside the `k · n` buffer,
+                // which outlives the region, and each pair of rows is
+                // visited by one chunk only.
+                let rows_out =
+                    unsafe { std::slice::from_raw_parts_mut(base.get().add(p * n), rows * n) };
+                simd::matmul_tn_rows(&self.data, k, p, &other.data, n, guarded, rows_out);
+            }
+        });
+        Tensor::from_raw(out, Shape::new(&[k, n]))
     }
 
     // --------------------------------------------------------- row select
