@@ -7,15 +7,23 @@
 //! `GlobalMemory` groups, the learned per-graph sample weights, the
 //! loss/HSIC curves, the best-validation tracker and the guardrail
 //! counters. Serialization uses the section-based [`Snapshot`] format from
-//! the tensor crate, written atomically (write-tmp + rename).
+//! the tensor crate, written atomically (write-tmp + rename) and sealed with
+//! a mandatory content checksum.
+//!
+//! It is also the one format for a trained model alone:
+//! [`TrainCheckpoint::from_model`] captures a module's parameters and
+//! buffers, and [`TrainCheckpoint::restore_model`] is the shape-checked
+//! restore behind trainer resume, the serving registry and the CLI's
+//! `--save` files.
 
 use crate::error::OodGnnError;
 use crate::health::HealthReport;
 use std::path::{Path, PathBuf};
 use tensor::fnv;
-use tensor::rng::RngState;
+use tensor::nn::Module;
+use tensor::rng::{Rng, RngState};
 use tensor::serialize::{Section, Snapshot};
-use tensor::Tensor;
+use tensor::{Shape, Tensor};
 
 /// Checkpoint format version inside the snapshot's `meta` section.
 const FORMAT: u64 = 1;
@@ -80,6 +88,66 @@ pub struct TrainCheckpoint {
 }
 
 impl TrainCheckpoint {
+    /// Capture a module's parameters followed by its buffers (BatchNorm
+    /// running statistics etc.), in `params_mut()` / `buffers_mut()`
+    /// order. Every other field is empty, so the result restores a model
+    /// for inference but not a training run.
+    pub fn from_model(model: &mut dyn Module) -> Self {
+        let mut model_tensors: Vec<Tensor> =
+            model.params_mut().iter().map(|p| p.value.clone()).collect();
+        let n_params = model_tensors.len();
+        model_tensors.extend(model.buffers_mut().iter().map(|b| (**b).clone()));
+        TrainCheckpoint {
+            seed: 0,
+            epochs_done: 0,
+            rng: Rng::seed_from(0).state(),
+            model_tensors,
+            n_params,
+            adam_tensors: Vec::new(),
+            adam_steps: Vec::new(),
+            memory_tensors: Vec::new(),
+            memory_initialized: false,
+            weight_indices: Vec::new(),
+            weight_values: Vec::new(),
+            loss_curve: Vec::new(),
+            hsic_curve: Vec::new(),
+            best_val: None,
+            test_at_best: None,
+            health: HealthReport::default(),
+        }
+    }
+
+    /// Copy the captured parameters and buffers into `model`. Counts and
+    /// shapes are checked for every tensor before anything is copied, so
+    /// a mismatched checkpoint leaves `model` untouched.
+    ///
+    /// # Errors
+    /// Fails with [`OodGnnError::Checkpoint`] when the checkpoint was taken
+    /// from a differently-structured model.
+    pub fn restore_model(&self, model: &mut dyn Module) -> Result<(), OodGnnError> {
+        let (params, buffers) = self
+            .model_tensors
+            .split_at_checked(self.n_params)
+            .ok_or_else(|| OodGnnError::Checkpoint("more parameters than model tensors".into()))?;
+        check_shapes(
+            "parameter",
+            model.params_mut().iter().map(|p| p.value.shape()),
+            params,
+        )?;
+        check_shapes(
+            "buffer",
+            model.buffers_mut().iter().map(|b| b.shape()),
+            buffers,
+        )?;
+        for (p, t) in model.params_mut().into_iter().zip(params) {
+            p.value = t.clone();
+        }
+        for (b, t) in model.buffers_mut().into_iter().zip(buffers) {
+            *b = t.clone();
+        }
+        Ok(())
+    }
+
     /// Encode into a section-based snapshot.
     pub fn to_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
@@ -191,7 +259,7 @@ impl TrainCheckpoint {
         }
         let curves = section("curves")?;
         let n_epochs = curves.ints.first().copied().unwrap_or(0) as usize;
-        if curves.floats.len() != 2 * n_epochs {
+        if n_epochs.checked_mul(2) != Some(curves.floats.len()) {
             return Err(OodGnnError::Checkpoint(
                 "curves section length mismatch".into(),
             ));
@@ -248,50 +316,72 @@ impl TrainCheckpoint {
     }
 
     /// Load a checkpoint saved with [`TrainCheckpoint::save`], verifying
-    /// the content checksum. Files written before checksums existed load
-    /// with a one-line warning on stderr.
+    /// the content checksum.
     ///
     /// # Errors
-    /// Fails on filesystem errors, a malformed/incompatible snapshot, or a
-    /// checksum mismatch (corrupt or tampered file).
+    /// Fails on filesystem errors, a malformed/incompatible snapshot, a
+    /// missing integrity section, or a checksum mismatch (corrupt or
+    /// tampered file).
     pub fn load(path: impl AsRef<Path>) -> Result<Self, OodGnnError> {
         let path = path.as_ref();
         let mut snap = Snapshot::load(path)?;
-        match snap.sections.last() {
-            Some(s) if s.name == INTEGRITY_SECTION => {
-                let stored = s.ints.first().copied().ok_or_else(|| {
-                    OodGnnError::Checkpoint("integrity section holds no checksum".into())
-                })?;
-                snap.sections.pop();
-                // The format is deterministic, so re-serializing the
-                // remaining sections reproduces the bytes `save` hashed.
-                let mut payload = Vec::new();
-                snap.write_to(&mut payload)?;
-                let actual = fnv::hash_bytes(&payload);
-                if actual != stored {
-                    return Err(OodGnnError::Checkpoint(format!(
-                        "checksum mismatch in `{}`: stored {stored:#018x}, computed \
-                         {actual:#018x} (file is corrupt or truncated)",
-                        path.display()
-                    )));
-                }
-            }
+        let stored = match snap.sections.pop() {
+            Some(s) if s.name == INTEGRITY_SECTION => s.ints.first().copied().ok_or_else(|| {
+                OodGnnError::Checkpoint("integrity section holds no checksum".into())
+            })?,
             _ => {
-                eprintln!(
-                    "warning: checkpoint `{}` predates content checksums; \
-                     loading without integrity verification",
+                return Err(OodGnnError::Checkpoint(format!(
+                    "`{}` has no integrity section (not written by TrainCheckpoint::save)",
                     path.display()
-                );
+                )))
             }
+        };
+        // The format is deterministic, so re-serializing the remaining
+        // sections reproduces the bytes `save` hashed.
+        let mut payload = Vec::new();
+        snap.write_to(&mut payload)?;
+        let actual = fnv::hash_bytes(&payload);
+        if actual != stored {
+            return Err(OodGnnError::Checkpoint(format!(
+                "checksum mismatch in `{}`: stored {stored:#018x}, computed \
+                 {actual:#018x} (file is corrupt or truncated)",
+                path.display()
+            )));
         }
         Self::from_snapshot(&snap)
     }
 }
 
+/// Check a model's tensor shapes against a checkpoint's, one `kind`
+/// (parameter or buffer) at a time.
+fn check_shapes<'a>(
+    kind: &str,
+    model: impl ExactSizeIterator<Item = &'a Shape>,
+    ck: &[Tensor],
+) -> Result<(), OodGnnError> {
+    if model.len() != ck.len() {
+        return Err(OodGnnError::Checkpoint(format!(
+            "checkpoint has {} {kind}s, model has {}",
+            ck.len(),
+            model.len()
+        )));
+    }
+    for (i, (m, t)) in model.zip(ck).enumerate() {
+        if m != t.shape() {
+            return Err(OodGnnError::Checkpoint(format!(
+                "{kind} {i} shape mismatch: checkpoint {:?}, model {m:?}",
+                t.shape()
+            )));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tensor::rng::Rng;
+    use tensor::nn::{Linear, Mlp};
+    use tensor::{Mode, Tape};
 
     fn sample_checkpoint() -> TrainCheckpoint {
         let mut rng = Rng::seed_from(3);
@@ -392,13 +482,35 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_curve_length_is_rejected() {
+        // A checksum only proves the file is intact, not that it is sane:
+        // a forged epoch count must not overflow `2 * n_epochs`.
+        let mut snap = sample_checkpoint().to_snapshot();
+        for s in &mut snap.sections {
+            if s.name == "curves" {
+                s.ints[0] = 1 << 63;
+                s.floats.clear();
+            }
+        }
+        assert!(TrainCheckpoint::from_snapshot(&snap).is_err());
+    }
+
+    #[test]
     fn bit_flipped_file_is_rejected() {
         let dir = std::env::temp_dir().join(format!("ood_ckpt_flip_{}", std::process::id()));
         let path = dir.join("train.ckpt");
-        let ck = sample_checkpoint();
-        ck.save(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Flip one bit in the middle of the tensor payload.
+        sample_checkpoint().save(&path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        // Every single-bit flip: header, length fields, payload and the
+        // stored checksum itself.
+        for bit in 0..clean.len() * 8 {
+            let mut bytes = clean.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(TrainCheckpoint::load(&path).is_err(), "flip {bit} loaded");
+        }
+        // A flip in the tensor payload is named as a checksum mismatch.
+        let mut bytes = clean;
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
@@ -411,24 +523,26 @@ mod tests {
     fn truncated_file_is_rejected() {
         let dir = std::env::temp_dir().join(format!("ood_ckpt_trunc_{}", std::process::id()));
         let path = dir.join("train.ckpt");
-        let ck = sample_checkpoint();
-        ck.save(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
-        assert!(TrainCheckpoint::load(&path).is_err());
+        sample_checkpoint().save(&path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        for len in 0..clean.len() {
+            std::fs::write(&path, &clean[..len]).unwrap();
+            assert!(TrainCheckpoint::load(&path).is_err(), "{len} bytes loaded");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn legacy_checksum_less_file_still_loads() {
-        let dir = std::env::temp_dir().join(format!("ood_ckpt_legacy_{}", std::process::id()));
+    fn checksum_less_file_is_rejected() {
+        let dir = std::env::temp_dir().join(format!("ood_ckpt_bare_{}", std::process::id()));
         let path = dir.join("train.ckpt");
-        let ck = sample_checkpoint();
-        // A pre-checksum writer saved the raw snapshot with no integrity
-        // section; it must keep loading (with a warning).
-        ck.to_snapshot().save_atomic(&path).unwrap();
-        let back = TrainCheckpoint::load(&path).unwrap();
-        assert_eq!(back.model_tensors, ck.model_tensors);
+        // A raw snapshot with no integrity section cannot be verified.
+        sample_checkpoint()
+            .to_snapshot()
+            .save_atomic(&path)
+            .unwrap();
+        let err = TrainCheckpoint::load(&path).unwrap_err();
+        assert!(err.to_string().contains("no integrity section"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -453,5 +567,76 @@ mod tests {
         let back = TrainCheckpoint::from_snapshot(&ck.to_snapshot()).unwrap();
         assert_eq!(back.best_val, None);
         assert_eq!(back.test_at_best, None);
+    }
+
+    fn param_values(m: &mut dyn Module) -> Vec<Tensor> {
+        m.params_mut().iter().map(|p| p.value.clone()).collect()
+    }
+
+    #[test]
+    fn restore_model_rejects_param_count_mismatch() {
+        let mut rng = Rng::seed_from(4);
+        let ck = TrainCheckpoint::from_model(&mut Linear::new(2, 2, &mut rng));
+        let mut mlp = Mlp::new(&[2, 2, 2], false, &mut rng); // 4 params
+        let before = param_values(&mut mlp);
+        let err = ck.restore_model(&mut mlp).unwrap_err();
+        assert!(
+            err.to_string().contains("2 parameters, model has 4"),
+            "{err}"
+        );
+        assert_eq!(param_values(&mut mlp), before);
+    }
+
+    #[test]
+    fn restore_model_rejects_param_shape_mismatch() {
+        let mut rng = Rng::seed_from(3);
+        let ck = TrainCheckpoint::from_model(&mut Linear::new(2, 2, &mut rng));
+        let mut big = Linear::new(4, 4, &mut rng);
+        let err = ck.restore_model(&mut big).unwrap_err();
+        assert!(
+            err.to_string().contains("parameter 0 shape mismatch"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_model_rejects_buffer_shape_mismatch() {
+        let mut rng = Rng::seed_from(5);
+        let mut ck = TrainCheckpoint::from_model(&mut Mlp::new(&[3, 4, 2], true, &mut rng));
+        ck.model_tensors[ck.n_params] = Tensor::zeros([5]);
+        let mut dst = Mlp::new(&[3, 4, 2], true, &mut rng);
+        let before = param_values(&mut dst);
+        let err = ck.restore_model(&mut dst).unwrap_err();
+        assert!(err.to_string().contains("buffer 0 shape mismatch"), "{err}");
+        // Nothing is copied until every shape has been checked.
+        assert_eq!(param_values(&mut dst), before);
+    }
+
+    #[test]
+    fn restore_model_brings_back_batchnorm_running_stats() {
+        let mut rng = Rng::seed_from(7);
+        let mut src = Mlp::new(&[3, 4, 2], true, &mut rng);
+        // Train-mode passes to move the BN running statistics off default.
+        for _ in 0..10 {
+            let mut tape = Tape::new();
+            let x = tape.constant(Tensor::randn([16, 3], &mut rng).add_scalar(2.0));
+            let _ = src.forward(&mut tape, x, Mode::Train);
+            for p in src.params_mut() {
+                p.clear_binding();
+            }
+        }
+        assert_eq!(src.buffers_mut().len(), 2);
+        let mut dst = Mlp::new(&[3, 4, 2], true, &mut rng);
+        TrainCheckpoint::from_model(&mut src)
+            .restore_model(&mut dst)
+            .unwrap();
+        let probe = Tensor::randn([4, 3], &mut rng);
+        let eval = |m: &mut Mlp| {
+            let mut tape = Tape::new();
+            let x = tape.constant(probe.clone());
+            let y = m.forward(&mut tape, x, Mode::Eval);
+            tape.value(y).clone()
+        };
+        assert_eq!(eval(&mut src), eval(&mut dst));
     }
 }

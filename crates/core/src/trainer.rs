@@ -684,15 +684,11 @@ impl OodGnn {
         weight_of: &HashMap<usize, f32>,
         health: &HealthReport,
     ) -> Result<(), OodGnnError> {
-        let (mut model_tensors, n_params, adam_tensors, adam_steps) = {
+        let (adam_tensors, adam_steps) = {
             let params = self.model.params_mut();
-            let n_params = params.len();
             let refs: Vec<&Param> = params.iter().map(|p| &**p).collect();
-            let tensors: Vec<Tensor> = refs.iter().map(|p| p.value.clone()).collect();
-            let (adam_tensors, adam_steps) = opt.export_state(&refs);
-            (tensors, n_params, adam_tensors, adam_steps)
+            opt.export_state(&refs)
         };
-        model_tensors.extend(self.model.buffers_mut().iter().map(|b| (**b).clone()));
         let (memory_tensors, memory_initialized) = self.memory.export_state();
         let mut pairs: Vec<(u64, f32)> = weight_of.iter().map(|(&k, &v)| (k as u64, v)).collect();
         pairs.sort_unstable_by_key(|&(k, _)| k);
@@ -701,8 +697,6 @@ impl OodGnn {
             seed,
             epochs_done,
             rng: rng.state(),
-            model_tensors,
-            n_params,
             adam_tensors,
             adam_steps,
             memory_tensors,
@@ -714,6 +708,7 @@ impl OodGnn {
             best_val,
             test_at_best,
             health: *health,
+            ..TrainCheckpoint::from_model(&mut self.model)
         };
         ck.save(&cfg.path)?;
         health::emit_checkpoint_saved(epochs_done, &cfg.path);
@@ -741,50 +736,11 @@ impl OodGnn {
                 ck.seed
             )));
         }
-        {
-            let mut params = self.model.params_mut();
-            if params.len() != ck.n_params {
-                return Err(OodGnnError::Checkpoint(format!(
-                    "checkpoint has {} parameters, model has {}",
-                    ck.n_params,
-                    params.len()
-                )));
-            }
-            for (i, p) in params.iter_mut().enumerate() {
-                let t = &ck.model_tensors[i];
-                if t.shape() != p.value.shape() {
-                    return Err(OodGnnError::Checkpoint(format!(
-                        "parameter {i} shape mismatch: checkpoint {:?}, model {:?}",
-                        t.shape(),
-                        p.value.shape()
-                    )));
-                }
-                p.value = t.clone();
-            }
-            let refs: Vec<&Param> = params.iter().map(|p| &**p).collect();
-            opt.import_state(&refs, &ck.adam_tensors, &ck.adam_steps)
-                .map_err(OodGnnError::Checkpoint)?;
-        }
-        let buffers = self.model.buffers_mut();
-        if ck.n_params + buffers.len() != ck.model_tensors.len() {
-            return Err(OodGnnError::Checkpoint(format!(
-                "checkpoint holds {} model tensors, model needs {} params + {} buffers",
-                ck.model_tensors.len(),
-                ck.n_params,
-                buffers.len()
-            )));
-        }
-        for (i, b) in buffers.into_iter().enumerate() {
-            let t = &ck.model_tensors[ck.n_params + i];
-            if t.shape() != b.shape() {
-                return Err(OodGnnError::Checkpoint(format!(
-                    "buffer {i} shape mismatch: checkpoint {:?}, model {:?}",
-                    t.shape(),
-                    b.shape()
-                )));
-            }
-            *b = t.clone();
-        }
+        ck.restore_model(&mut self.model)?;
+        let params = self.model.params_mut();
+        let refs: Vec<&Param> = params.iter().map(|p| &**p).collect();
+        opt.import_state(&refs, &ck.adam_tensors, &ck.adam_steps)
+            .map_err(OodGnnError::Checkpoint)?;
         self.memory
             .import_state(&ck.memory_tensors, ck.memory_initialized)?;
         *rng = Rng::from_state(ck.rng);

@@ -45,7 +45,7 @@ pub mod transport;
 pub use protocol::{
     best_effort_id, parse_request, InferRequest, Limits, Request, Response, StageTiming, Status,
 };
-pub use registry::{checkpoint_from_model, restore_into, ModelEntry, ModelSpec, Registry};
+pub use registry::{restore_into, ModelEntry, ModelSpec, Registry};
 pub use server::{FaultInjector, ModelMeta, ReplyTx, ServeConfig, ServeStats, Server};
 pub use stats::{ServeWindows, STAGE_NAMES};
 pub use transport::{Transport, TransportConfig};

@@ -1,12 +1,13 @@
-//! The versioned model registry: named entries rebuilt from checkpoint
-//! files — full [`TrainCheckpoint`] training snapshots or the `oodgnn`
-//! CLI's bare module dumps (see [`Registry::load`]).
+//! The versioned model registry: named entries rebuilt from checksummed
+//! [`TrainCheckpoint`] files, whether written by `train_run`'s periodic
+//! checkpointing or by the `oodgnn` CLI's `--save`.
 //!
 //! A checkpoint stores raw tensors only (no architecture metadata), so
 //! every entry pairs a [`ModelSpec`] — the constructor arguments of the
-//! backbone the trainer used — with the restored [`GnnModel`]. Loading is
-//! shape-checked exactly like the trainer's resume path: a checkpoint can
-//! only restore into an identically-structured model. A failed reload
+//! backbone the trainer used — with the restored [`GnnModel`]. Loading
+//! goes through [`TrainCheckpoint::restore_model`], the same shape-checked
+//! restore as the trainer's resume path: a checkpoint can only restore
+//! into an identically-structured model. A failed reload
 //! leaves the previous entry untouched (the registry swaps entries only
 //! after a complete, validated restore), which is what makes hot reload
 //! safe under corrupt checkpoint files.
@@ -21,7 +22,6 @@ use graph::TaskType;
 use oodgnn_core::TrainCheckpoint;
 use std::collections::HashMap;
 use std::path::Path;
-use tensor::nn::Module;
 use tensor::rng::Rng;
 
 /// Everything needed to rebuild the architecture a checkpoint was trained
@@ -105,64 +105,12 @@ impl ModelSpec {
     }
 }
 
-/// Restore a checkpoint's model tensors into a freshly built model,
-/// shape-checking every parameter and buffer (the trainer's resume
-/// idiom). Optimizer/memory/weight state in the checkpoint is ignored —
-/// serving only needs the forward path.
+/// Restore a checkpoint's model tensors into a freshly built model via
+/// [`TrainCheckpoint::restore_model`]. Optimizer/memory/weight state in the
+/// checkpoint is ignored — serving only needs the forward path. Kept as a
+/// `String`-error adapter because the `oodbench` harness imports it.
 pub fn restore_into(model: &mut GnnModel, ck: &TrainCheckpoint) -> Result<(), String> {
-    {
-        let mut params = model.params_mut();
-        if params.len() != ck.n_params {
-            return Err(format!(
-                "checkpoint has {} parameters, model has {}",
-                ck.n_params,
-                params.len()
-            ));
-        }
-        for (i, p) in params.iter_mut().enumerate() {
-            let t = &ck.model_tensors[i];
-            if t.shape() != p.value.shape() {
-                return Err(format!(
-                    "parameter {i} shape mismatch: checkpoint {:?}, model {:?}",
-                    t.shape(),
-                    p.value.shape()
-                ));
-            }
-            p.value = t.clone();
-        }
-    }
-    let buffers = model.buffers_mut();
-    if ck.n_params + buffers.len() != ck.model_tensors.len() {
-        return Err(format!(
-            "checkpoint holds {} model tensors, model needs {} params + {} buffers",
-            ck.model_tensors.len(),
-            ck.n_params,
-            buffers.len()
-        ));
-    }
-    for (i, b) in buffers.into_iter().enumerate() {
-        let t = &ck.model_tensors[ck.n_params + i];
-        if t.shape() != b.shape() {
-            return Err(format!(
-                "buffer {i} shape mismatch: checkpoint {:?}, model {:?}",
-                t.shape(),
-                b.shape()
-            ));
-        }
-        *b = t.clone();
-    }
-    Ok(())
-}
-
-/// First four bytes of a file, used to sniff the checkpoint format.
-/// `None` (unreadable / too short) falls through to the snapshot loader,
-/// which reports the real I/O error.
-fn file_magic(path: &Path) -> Option<[u8; 4]> {
-    use std::io::Read;
-    let mut magic = [0u8; 4];
-    let mut f = std::fs::File::open(path).ok()?;
-    f.read_exact(&mut magic).ok()?;
-    Some(magic)
+    ck.restore_model(model).map_err(|e| e.to_string())
 }
 
 /// One loaded entry: the spec, the restored model and a version counter
@@ -188,27 +136,18 @@ impl Registry {
         Registry::default()
     }
 
-    /// Load (or replace) `name` from a checkpoint file. Accepts both
-    /// checkpoint formats the repo produces: full training snapshots
-    /// (`OODS` magic, written by `train_run`'s periodic checkpointing,
-    /// checksum-verified) and bare module dumps (`OODT` magic, written by
-    /// the `oodgnn` CLI's `--save`). On any failure the previous entry,
-    /// if one exists, is left serving.
+    /// Load (or replace) `name` from a checksum-verified checkpoint file.
+    /// On any failure the previous entry, if one exists, is left serving.
     pub fn load(
         &mut self,
         name: &str,
         spec: &ModelSpec,
         path: impl AsRef<Path>,
     ) -> Result<u64, String> {
-        let path = path.as_ref();
         let mut model = spec.build()?;
-        if file_magic(path).as_ref() == Some(b"OODT") {
-            tensor::serialize::load_module(path, &mut model)
-                .map_err(|e| format!("loading module dump `{}`: {e}", path.display()))?;
-        } else {
-            let ck = TrainCheckpoint::load(path).map_err(|e| e.to_string())?;
-            restore_into(&mut model, &ck)?;
-        }
+        TrainCheckpoint::load(path)
+            .and_then(|ck| ck.restore_model(&mut model))
+            .map_err(|e| e.to_string())?;
         let version = self.entries.get(name).map_or(1, |e| e.version + 1);
         self.entries.insert(
             name.to_string(),
@@ -247,37 +186,10 @@ impl Registry {
     }
 }
 
-/// Package a model's current parameters and buffers as a minimal
-/// [`TrainCheckpoint`] (optimizer and trainer state zeroed). Lets tests
-/// and tools produce servable checkpoints without running training.
-pub fn checkpoint_from_model(model: &mut GnnModel) -> TrainCheckpoint {
-    let mut model_tensors: Vec<tensor::Tensor> =
-        model.params_mut().iter().map(|p| p.value.clone()).collect();
-    let n_params = model_tensors.len();
-    model_tensors.extend(model.buffers_mut().iter().map(|b| (**b).clone()));
-    TrainCheckpoint {
-        seed: 0,
-        epochs_done: 0,
-        rng: Rng::seed_from(0).state(),
-        model_tensors,
-        n_params,
-        adam_tensors: Vec::new(),
-        adam_steps: Vec::new(),
-        memory_tensors: Vec::new(),
-        memory_initialized: false,
-        weight_indices: Vec::new(),
-        weight_values: Vec::new(),
-        loss_curve: Vec::new(),
-        hsic_curve: Vec::new(),
-        best_val: None,
-        test_at_best: None,
-        health: Default::default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tensor::nn::Module;
 
     fn spec() -> ModelSpec {
         ModelSpec::new("gin", 4, 8, 2, TaskType::MultiClass { classes: 3 })
@@ -294,7 +206,7 @@ mod tests {
         let dir = scratch("load");
         let path = dir.join("m.oods");
         let mut src = spec().build().unwrap();
-        checkpoint_from_model(&mut src).save(&path).unwrap();
+        TrainCheckpoint::from_model(&mut src).save(&path).unwrap();
         let mut reg = Registry::new();
         let v = reg.load("default", &spec(), &path).unwrap();
         assert_eq!(v, 1);
@@ -310,11 +222,11 @@ mod tests {
         let dir = scratch("mismatch");
         let good = dir.join("good.oods");
         let bad = dir.join("bad.oods");
-        checkpoint_from_model(&mut spec().build().unwrap())
+        TrainCheckpoint::from_model(&mut spec().build().unwrap())
             .save(&good)
             .unwrap();
         let wide = ModelSpec::new("gin", 4, 16, 2, TaskType::MultiClass { classes: 3 });
-        checkpoint_from_model(&mut wide.build().unwrap())
+        TrainCheckpoint::from_model(&mut wide.build().unwrap())
             .save(&bad)
             .unwrap();
         let mut reg = Registry::new();
@@ -330,7 +242,7 @@ mod tests {
     fn reload_bumps_version() {
         let dir = scratch("ver");
         let path = dir.join("m.oods");
-        checkpoint_from_model(&mut spec().build().unwrap())
+        TrainCheckpoint::from_model(&mut spec().build().unwrap())
             .save(&path)
             .unwrap();
         let mut reg = Registry::new();
@@ -338,24 +250,6 @@ mod tests {
         assert_eq!(reg.reload("default", &path).unwrap(), 2);
         assert_eq!(reg.reload("default", &path).unwrap(), 3);
         assert!(reg.reload("other", &path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn cli_module_dumps_load_too() {
-        let dir = scratch("oodt");
-        let path = dir.join("m.ckpt");
-        let mut src = spec().build().unwrap();
-        tensor::serialize::save_module(&path, &mut src).unwrap();
-        let mut reg = Registry::new();
-        assert_eq!(reg.load("default", &spec(), &path).unwrap(), 1);
-        let entry = reg.get_mut("default").unwrap();
-        for (a, b) in entry.model.params_mut().iter().zip(src.params_mut().iter()) {
-            assert_eq!(a.value, b.value);
-        }
-        // A wrong architecture is still rejected with a shape error.
-        let wide = ModelSpec::new("gin", 4, 16, 2, TaskType::MultiClass { classes: 3 });
-        assert!(reg.load("wide", &wide, &path).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

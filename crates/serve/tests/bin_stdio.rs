@@ -2,7 +2,8 @@
 //! checkpoint file, a mixed request stream including a malformed line, and
 //! a graceful EOF drain with exit code 0.
 
-use oodgnn_serve::{checkpoint_from_model, ModelSpec};
+use oodgnn_core::TrainCheckpoint;
+use oodgnn_serve::ModelSpec;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
 
@@ -12,7 +13,7 @@ fn binary_serves_over_stdio_and_drains_on_eof() {
     std::fs::create_dir_all(&dir).unwrap();
     let ck = dir.join("m.oods");
     let spec = ModelSpec::new("gin", 4, 8, 2, graph::TaskType::MultiClass { classes: 3 });
-    checkpoint_from_model(&mut spec.build().unwrap())
+    TrainCheckpoint::from_model(&mut spec.build().unwrap())
         .save(&ck)
         .unwrap();
 

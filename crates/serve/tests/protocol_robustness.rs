@@ -2,7 +2,8 @@
 //! yield a structured `error` response — never a dead server, and never a
 //! changed answer for the well-formed requests sharing the wire with it.
 
-use oodgnn_serve::{checkpoint_from_model, ModelSpec, Response, ServeConfig, Server, Status};
+use oodgnn_core::TrainCheckpoint;
+use oodgnn_serve::{ModelSpec, Response, ServeConfig, Server, Status};
 use std::path::PathBuf;
 use std::sync::mpsc::channel;
 use std::sync::Mutex;
@@ -26,7 +27,7 @@ fn start_server(tag: &str) -> (Server, PathBuf) {
     let dir = std::env::temp_dir().join(format!("serve_proto_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let ck = dir.join("m.oods");
-    checkpoint_from_model(&mut spec().build().unwrap())
+    TrainCheckpoint::from_model(&mut spec().build().unwrap())
         .save(&ck)
         .unwrap();
     let server =

@@ -3,7 +3,8 @@
 //! breaker, hot reload and graceful drain — all through the public
 //! [`Server`] API, exactly as the binary drives it.
 
-use oodgnn_serve::{checkpoint_from_model, ModelSpec, Response, ServeConfig, Server, Status};
+use oodgnn_core::TrainCheckpoint;
+use oodgnn_serve::{ModelSpec, Response, ServeConfig, Server, Status};
 use std::path::PathBuf;
 use std::sync::mpsc::channel;
 use std::sync::Mutex;
@@ -45,7 +46,7 @@ fn write_checkpoint(path: &PathBuf, scale: f32) {
             *v *= scale;
         }
     }
-    checkpoint_from_model(&mut model).save(path).unwrap();
+    TrainCheckpoint::from_model(&mut model).save(path).unwrap();
 }
 
 fn model_params(model: &mut gnn::GnnModel) -> Vec<&mut [f32]> {
@@ -390,6 +391,14 @@ fn corrupt_checkpoint_reload_keeps_the_old_version_serving() {
         "{:?}",
         reload.error
     );
+    // Nine bytes claiming u32::MAX sections: an error reply, not an abort.
+    std::fs::write(&bad, b"OODS\x01\xff\xff\xff\xff").unwrap();
+    let path = json_str(&bad.display().to_string());
+    let evil = ask(
+        &server,
+        &format!("{{\"op\":\"reload\",\"id\":\"evil\",\"model\":\"default\",\"path\":{path}}}"),
+    );
+    assert_eq!(evil.status, Status::Error);
 
     let after = ask(&server, &infer_line("after", 4, 5, None));
     assert_eq!(after.status, Status::Ok, "{:?}", after.error);

@@ -8,9 +8,8 @@
 //! a half-closed client still gets every reply, and shutdown wakes the
 //! blocking accept.
 
-use oodgnn_serve::{
-    checkpoint_from_model, ModelSpec, ServeConfig, Server, Status, Transport, TransportConfig,
-};
+use oodgnn_core::TrainCheckpoint;
+use oodgnn_serve::{ModelSpec, ServeConfig, Server, Status, Transport, TransportConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
@@ -49,7 +48,7 @@ fn scratch(tag: &str) -> PathBuf {
 fn start_server(tag: &str) -> (Arc<Server>, PathBuf, PathBuf) {
     let dir = scratch(tag);
     let ck = dir.join("m.oods");
-    checkpoint_from_model(&mut spec().build().unwrap())
+    TrainCheckpoint::from_model(&mut spec().build().unwrap())
         .save(&ck)
         .unwrap();
     let server = Server::start(

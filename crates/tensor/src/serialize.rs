@@ -1,30 +1,26 @@
-//! Binary checkpointing of tensors, module parameters and full training
-//! state.
+//! Binary checkpoint snapshots: the one on-disk format for trained models
+//! and full training state.
 //!
-//! Two minimal, dependency-free formats built from the same little-endian
-//! primitives:
-//!
-//! * **Tensor lists** (`OODT` magic): positional parameter/buffer dumps
-//!   sufficient to save and restore trained models; shapes are verified on
-//!   load so a checkpoint can only be restored into an
-//!   identically-structured model.
-//! * **[`Snapshot`]s** (`OODS` magic): named sections each carrying
-//!   tensors, `u64`s and `f32`s — enough to capture *everything* a training
-//!   run needs to resume bitwise-identically (optimizer moments, RNG state,
-//!   loss curves, sample weights, …). Snapshots are written atomically
-//!   (write-tmp + rename) so a crash mid-save never corrupts the previous
-//!   checkpoint.
+//! A [`Snapshot`] (`OODS` magic) holds named sections, each carrying
+//! tensors, `u64`s and `f32`s — enough to capture *everything* a training
+//! run needs to resume bitwise-identically (model parameters and buffers,
+//! optimizer moments, RNG state, loss curves, sample weights, …).
+//! Snapshots are written atomically (write-tmp + rename) so a crash
+//! mid-save never corrupts the previous checkpoint. Reading never trusts a
+//! length field for an allocation: memory grows only with bytes actually
+//! read, so a hostile or truncated file fails with an `io::Error`.
 
-use crate::nn::Param;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 4] = b"OODT";
-const VERSION: u8 = 1;
 const SNAPSHOT_MAGIC: &[u8; 4] = b"OODS";
 const SNAPSHOT_VERSION: u8 = 1;
+
+fn invalid(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
 
 fn write_tensor<W: Write>(w: &mut W, t: &Tensor) -> io::Result<()> {
     let dims = t.shape().dims();
@@ -38,69 +34,53 @@ fn write_tensor<W: Write>(w: &mut W, t: &Tensor) -> io::Result<()> {
     Ok(())
 }
 
+/// Read `count` little-endian words of `W` bytes each, decoding each with
+/// `decode`. The buffer grows only as bytes arrive, so a huge `count` from a
+/// hostile file costs no more memory than the file holds; a shortfall is an
+/// `UnexpectedEof`.
+fn read_array<R: Read, T, const W: usize>(
+    r: &mut R,
+    count: usize,
+    decode: fn([u8; W]) -> T,
+) -> io::Result<Vec<T>> {
+    let len = count
+        .checked_mul(W)
+        .ok_or_else(|| invalid("length field overflows"))?;
+    let mut bytes = Vec::new();
+    r.by_ref().take(len as u64).read_to_end(&mut bytes)?;
+    if bytes.len() != len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "snapshot truncated",
+        ));
+    }
+    Ok(bytes
+        .chunks_exact(W)
+        .map(|c| decode(c.try_into().expect("chunks are W bytes")))
+        .collect())
+}
+
 fn read_tensor<R: Read>(r: &mut R) -> io::Result<Tensor> {
     let rank = read_u32(r)? as usize;
     if rank > 8 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "rank too large"));
+        return Err(invalid("rank too large"));
     }
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        dims.push(read_u32(r)? as usize);
-    }
-    let shape = Shape::new(&dims);
-    let mut data = vec![0f32; shape.numel()];
-    let mut buf = [0u8; 4];
-    for v in &mut data {
-        r.read_exact(&mut buf)?;
-        *v = f32::from_le_bytes(buf);
-    }
-    Ok(Tensor::from_vec(data, shape))
-}
-
-/// Write a sequence of tensors to a writer.
-pub fn write_tensors<W: Write>(mut w: W, tensors: &[&Tensor]) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&[VERSION])?;
-    w.write_all(&(tensors.len() as u32).to_le_bytes())?;
-    for t in tensors {
-        write_tensor(&mut w, t)?;
-    }
-    Ok(())
-}
-
-/// Read a sequence of tensors from a reader.
-pub fn read_tensors<R: Read>(mut r: R) -> io::Result<Vec<Tensor>> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
-    }
-    let mut version = [0u8; 1];
-    r.read_exact(&mut version)?;
-    if version[0] != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported version {}", version[0]),
-        ));
-    }
-    let count = read_u32(&mut r)? as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(read_tensor(&mut r)?);
-    }
-    Ok(out)
+    let dims: Vec<usize> = read_array(r, rank, u32::from_le_bytes)?
+        .into_iter()
+        .map(|d| d as usize)
+        .collect();
+    let numel = dims
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .ok_or_else(|| invalid("tensor shape overflows"))?;
+    let data = read_array(r, numel, f32::from_le_bytes)?;
+    Ok(Tensor::from_vec(data, Shape::new(&dims)))
 }
 
 fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
     let mut buf = [0u8; 4];
     r.read_exact(&mut buf)?;
     Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
 }
 
 /// One named section of a [`Snapshot`]: a tensor list plus integer and
@@ -181,50 +161,36 @@ impl Snapshot {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != SNAPSHOT_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad snapshot magic",
-            ));
+            return Err(invalid("bad snapshot magic"));
         }
         let mut version = [0u8; 1];
         r.read_exact(&mut version)?;
         if version[0] != SNAPSHOT_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsupported snapshot version {}", version[0]),
-            ));
+            return Err(invalid(&format!(
+                "unsupported snapshot version {}",
+                version[0]
+            )));
         }
         let n_sections = read_u32(&mut r)? as usize;
-        let mut sections = Vec::with_capacity(n_sections);
+        let mut sections = Vec::new();
         for _ in 0..n_sections {
             let name_len = read_u32(&mut r)? as usize;
             if name_len > 4096 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "section name too long",
-                ));
+                return Err(invalid("section name too long"));
             }
             let mut name = vec![0u8; name_len];
             r.read_exact(&mut name)?;
             let name = String::from_utf8(name)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
             let n_tensors = read_u32(&mut r)? as usize;
-            let mut tensors = Vec::with_capacity(n_tensors);
+            let mut tensors = Vec::new();
             for _ in 0..n_tensors {
                 tensors.push(read_tensor(&mut r)?);
             }
             let n_ints = read_u32(&mut r)? as usize;
-            let mut ints = Vec::with_capacity(n_ints);
-            for _ in 0..n_ints {
-                ints.push(read_u64(&mut r)?);
-            }
+            let ints = read_array(&mut r, n_ints, u64::from_le_bytes)?;
             let n_floats = read_u32(&mut r)? as usize;
-            let mut floats = Vec::with_capacity(n_floats);
-            let mut buf = [0u8; 4];
-            for _ in 0..n_floats {
-                r.read_exact(&mut buf)?;
-                floats.push(f32::from_le_bytes(buf));
-            }
+            let floats = read_array(&mut r, n_floats, f32::from_le_bytes)?;
             sections.push(Section {
                 name,
                 tensors,
@@ -265,191 +231,10 @@ impl Snapshot {
     }
 }
 
-/// Save a module's parameters (in `params_mut()` order) to a file.
-pub fn save_params(path: impl AsRef<Path>, params: &[&Param]) -> io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let tensors: Vec<&Tensor> = params.iter().map(|p| &p.value).collect();
-    write_tensors(io::BufWriter::new(file), &tensors)
-}
-
-/// Load parameters from a file into a module's parameters (same order and
-/// shapes as when saved).
-///
-/// # Errors
-/// Fails if the count or any shape disagrees with the target parameters.
-pub fn load_params(path: impl AsRef<Path>, params: Vec<&mut Param>) -> io::Result<()> {
-    let file = std::fs::File::open(path)?;
-    let tensors = read_tensors(io::BufReader::new(file))?;
-    if tensors.len() != params.len() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "checkpoint has {} tensors, model has {} params",
-                tensors.len(),
-                params.len()
-            ),
-        ));
-    }
-    for (p, t) in params.into_iter().zip(tensors) {
-        if p.value.shape() != t.shape() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("shape mismatch: {} vs {}", p.value.shape(), t.shape()),
-            ));
-        }
-        p.value = t;
-    }
-    Ok(())
-}
-
-/// Save a whole module: trainable parameters followed by non-trainable
-/// buffers (BatchNorm running statistics etc.), in `params_mut()` /
-/// `buffers_mut()` order.
-pub fn save_module(path: impl AsRef<Path>, module: &mut dyn crate::nn::Module) -> io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut tensors: Vec<Tensor> = module
-        .params_mut()
-        .iter()
-        .map(|p| p.value.clone())
-        .collect();
-    tensors.extend(module.buffers_mut().iter().map(|b| (**b).clone()));
-    let refs: Vec<&Tensor> = tensors.iter().collect();
-    write_tensors(io::BufWriter::new(file), &refs)
-}
-
-/// Restore a module saved with [`save_module`] (same structure required).
-pub fn load_module(path: impl AsRef<Path>, module: &mut dyn crate::nn::Module) -> io::Result<()> {
-    let file = std::fs::File::open(path)?;
-    let tensors = read_tensors(io::BufReader::new(file))?;
-    let n_params = module.params_mut().len();
-    let n_buffers = module.buffers_mut().len();
-    if tensors.len() != n_params + n_buffers {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "checkpoint has {} tensors, module expects {n_params} params + {n_buffers} buffers",
-                tensors.len()
-            ),
-        ));
-    }
-    for (p, t) in module.params_mut().into_iter().zip(&tensors[..n_params]) {
-        if p.value.shape() != t.shape() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("param shape mismatch: {} vs {}", p.value.shape(), t.shape()),
-            ));
-        }
-        p.value = t.clone();
-    }
-    for (b, t) in module.buffers_mut().into_iter().zip(&tensors[n_params..]) {
-        if b.shape() != t.shape() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("buffer shape mismatch: {} vs {}", b.shape(), t.shape()),
-            ));
-        }
-        *b = t.clone();
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nn::{Linear, Module};
     use crate::rng::Rng;
-
-    #[test]
-    fn roundtrip_tensors_in_memory() {
-        let mut rng = Rng::seed_from(1);
-        let a = Tensor::randn([3, 4], &mut rng);
-        let b = Tensor::scalar(7.5);
-        let c = Tensor::randn([5], &mut rng);
-        let mut buf = Vec::new();
-        write_tensors(&mut buf, &[&a, &b, &c]).unwrap();
-        let back = read_tensors(&buf[..]).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back[0], a);
-        assert_eq!(back[1], b);
-        assert_eq!(back[2], c);
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let buf = b"NOPE\x01\x00\x00\x00\x00".to_vec();
-        assert!(read_tensors(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn module_checkpoint_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("oodt_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("linear.ckpt");
-        let mut rng = Rng::seed_from(2);
-        let mut src = Linear::new(4, 3, &mut rng);
-        {
-            let params = src.params_mut();
-            let refs: Vec<&Param> = params.iter().map(|p| &**p).collect();
-            save_params(&path, &refs).unwrap();
-        }
-        let mut dst = Linear::new(4, 3, &mut rng); // different random init
-        load_params(&path, dst.params_mut()).unwrap();
-        for (a, b) in src.params_mut().iter().zip(dst.params_mut().iter()) {
-            assert_eq!(a.value, b.value);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_rejects_shape_mismatch() {
-        let dir = std::env::temp_dir().join(format!("oodt_test2_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.ckpt");
-        let mut rng = Rng::seed_from(3);
-        let mut small = Linear::new(2, 2, &mut rng);
-        {
-            let params = small.params_mut();
-            let refs: Vec<&Param> = params.iter().map(|p| &**p).collect();
-            save_params(&path, &refs).unwrap();
-        }
-        let mut big = Linear::new(4, 4, &mut rng);
-        assert!(load_params(&path, big.params_mut()).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn module_roundtrip_includes_batchnorm_buffers() {
-        use crate::nn::Mlp;
-        use crate::{Mode, Tape};
-        let dir = std::env::temp_dir().join(format!("oodt_bn_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mlp.ckpt");
-        let mut rng = Rng::seed_from(7);
-        let mut src = Mlp::new(&[3, 4, 2], true, &mut rng);
-        // Train-mode passes to move the BN running statistics off default.
-        for _ in 0..10 {
-            let mut tape = Tape::new();
-            let x = tape.constant(Tensor::randn([16, 3], &mut rng).add_scalar(2.0));
-            let _ = src.forward(&mut tape, x, Mode::Train);
-            for p in src.params_mut() {
-                p.clear_binding();
-            }
-        }
-        assert_eq!(src.buffers_mut().len(), 2);
-        save_module(&path, &mut src).unwrap();
-        let mut dst = Mlp::new(&[3, 4, 2], true, &mut rng);
-        load_module(&path, &mut dst).unwrap();
-        // Eval predictions identical => buffers restored.
-        let probe = Tensor::randn([4, 3], &mut rng);
-        let eval = |m: &mut Mlp| {
-            let mut tape = Tape::new();
-            let x = tape.constant(probe.clone());
-            let y = m.forward(&mut tape, x, Mode::Eval);
-            tape.value(y).clone()
-        };
-        assert!(eval(&mut src).max_abs_diff(&eval(&mut dst)) < 1e-6);
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
     #[test]
     fn snapshot_roundtrip_in_memory() {
@@ -474,7 +259,7 @@ mod tests {
 
     #[test]
     fn snapshot_rejects_bad_magic() {
-        let buf = b"OODT\x01\x00\x00\x00\x00".to_vec();
+        let buf = b"NOPE\x01\x00\x00\x00\x00".to_vec();
         assert!(Snapshot::read_from(&buf[..]).is_err());
     }
 
@@ -508,22 +293,6 @@ mod tests {
         let path = dir.join("a/b/run.snap");
         Snapshot::new().save_atomic(&path).unwrap();
         assert!(path.exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_rejects_param_count_mismatch() {
-        let dir = std::env::temp_dir().join(format!("oodt_test3_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("count.ckpt");
-        let t = Tensor::zeros([2]);
-        {
-            let f = std::fs::File::create(&path).unwrap();
-            write_tensors(f, &[&t]).unwrap();
-        }
-        let mut rng = Rng::seed_from(4);
-        let mut lin = Linear::new(2, 2, &mut rng); // 2 params
-        assert!(load_params(&path, lin.params_mut()).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

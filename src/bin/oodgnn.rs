@@ -5,13 +5,13 @@
 //!
 //! ```text
 //! oodgnn --dataset proteins25 --method ood-gnn --epochs 30 --frac 0.3
-//! oodgnn --dataset bace --method gin --ogb-cap 600 --save model.ckpt
+//! oodgnn --dataset bace --method gin --ogb-cap 600 --save model.oods
 //! oodgnn --list
 //! ```
 
 use ood_gnn::core::analysis::weight_stats;
+use ood_gnn::core::TrainCheckpoint;
 use ood_gnn::prelude::*;
-use ood_gnn::tensor::serialize::save_module;
 use std::collections::BTreeMap;
 
 fn usage() -> ! {
@@ -37,7 +37,7 @@ OPTIONS:
     --lr <F>              learning rate (default 0.002)
     --epoch-reweight <N>  OOD-GNN inner weight epochs (default 15)
     --seed <N>            RNG seed (default 7)
-    --save <PATH>         write a checkpoint after training
+    --save <PATH>         write a checksummed TrainCheckpoint after training
     --list                list datasets and exit"
     );
     std::process::exit(2);
@@ -213,7 +213,9 @@ fn main() {
             r.train_metric, r.val_metric, r.test_metric
         );
         if let Some(path) = args.get("save") {
-            save_module(path, &mut model).expect("failed to save checkpoint");
+            TrainCheckpoint::from_model(&mut model)
+                .save(path)
+                .expect("failed to save checkpoint");
             println!("checkpoint written to {path}");
         }
     } else if method == "ood-gnn" {
@@ -240,7 +242,9 @@ fn main() {
             w.std, w.min, w.max, w.effective_sample_fraction
         );
         if let Some(path) = args.get("save") {
-            save_module(path, model.model_mut()).expect("failed to save checkpoint");
+            TrainCheckpoint::from_model(model.model_mut())
+                .save(path)
+                .expect("failed to save checkpoint");
             println!("checkpoint written to {path}");
         }
     } else {

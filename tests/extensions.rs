@@ -2,9 +2,9 @@
 //! models, validation-based model selection, LR schedules and the
 //! GAT/GraphSAGE backbones.
 
+use ood_gnn::core::TrainCheckpoint;
 use ood_gnn::prelude::*;
 use ood_gnn::tensor::optim::LrSchedule;
-use ood_gnn::tensor::serialize::{load_module, save_module};
 
 fn small_bench() -> OodBenchmark {
     ood_gnn::datasets::triangles::generate(&TrianglesConfig::scaled(0.02), 99)
@@ -36,8 +36,8 @@ fn checkpoint_roundtrip_preserves_predictions() {
 
     let dir = std::env::temp_dir().join(format!("oodgnn_it_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("model.ckpt");
-    save_module(&path, &mut model).unwrap();
+    let path = dir.join("model.oods");
+    TrainCheckpoint::from_model(&mut model).save(&path).unwrap();
 
     // A second model with different random init must predict identically
     // after loading the checkpoint.
@@ -48,7 +48,10 @@ fn checkpoint_roundtrip_preserves_predictions() {
         &cfg,
         &mut rng,
     );
-    load_module(&path, &mut model2).unwrap();
+    TrainCheckpoint::load(&path)
+        .unwrap()
+        .restore_model(&mut model2)
+        .unwrap();
 
     let batch = GraphBatch::from_dataset(&bench.dataset, &bench.split.test[..4]);
     let out1 = {
