@@ -26,7 +26,7 @@
 //! malformed line yields a structured `error` response — never a dead
 //! server.
 
-use trace::json::{parse_object_bytes, Json};
+use trace::json::{parse_object_bytes, Json, NotF32Array, NotU32Pairs, ObjectReader};
 
 /// Hard bounds enforced before a request is admitted.
 #[derive(Debug, Clone)]
@@ -54,7 +54,7 @@ impl Default for Limits {
 
 impl Limits {
     /// Total array-element budget implied by the per-field bounds.
-    fn element_budget(&self) -> usize {
+    pub fn element_budget(&self) -> usize {
         // edges (pairs count once each + two endpoints each) + features.
         self.max_edges * 3 + self.max_nodes * self.max_feature_dim
     }
@@ -124,22 +124,26 @@ pub enum Request {
 }
 
 /// Extract the `id` field from a line on a best-effort basis, so error
-/// responses to malformed requests still correlate when possible. Falls
-/// back to a raw textual scan when the line doesn't parse at all (the
-/// whole point: the request is malformed). Returns `None` when no id can
-/// be recovered — the reply then omits the `id` field entirely, so a
-/// client can always distinguish "the server could not correlate this"
-/// from a request that genuinely sent `"id":""`.
-pub fn best_effort_id(line: &str) -> Option<String> {
-    if let Ok(pairs) = parse_object_bytes(line.as_bytes(), usize::MAX) {
-        for (k, v) in pairs {
-            if k == "id" {
-                if let Some(s) = v.as_str() {
-                    return Some(s.to_string());
+/// responses to malformed requests still correlate when possible. A line
+/// within the length limit is parsed under the limits' element budget;
+/// when that fails, and always for a line over the limit, a raw textual
+/// scan for `"id":` is the fallback (the whole point: the request is
+/// malformed). Returns `None` when no id can be recovered — the reply then
+/// omits the `id` field entirely, so a client can always distinguish "the
+/// server could not correlate this" from a request that genuinely sent
+/// `"id":""`.
+pub fn best_effort_id(line: &str, limits: &Limits) -> Option<String> {
+    if line.len() <= limits.max_line_bytes {
+        if let Ok(pairs) = parse_object_bytes(line.as_bytes(), limits.element_budget()) {
+            for (k, v) in pairs {
+                if k == "id" {
+                    if let Some(s) = v.as_str() {
+                        return Some(s.to_string());
+                    }
                 }
             }
+            return None;
         }
-        return None;
     }
     let start = line.find("\"id\":")?;
     let rest = line[start + 5..].trim_start();
@@ -154,6 +158,11 @@ pub fn best_effort_id(line: &str) -> Option<String> {
 
 /// Parse and validate one request line against the limits. Every rejection
 /// is a client error message suitable for a structured `error` response.
+///
+/// The object is read in one pass: `features` and `edges` are decoded
+/// straight into their typed buffers, every other value through [`Json`].
+/// A syntax error anywhere outranks a field error, so field errors wait
+/// for the closing brace and the first one in key order is reported.
 pub fn parse_request(line: &str, limits: &Limits) -> Result<Request, String> {
     if line.len() > limits.max_line_bytes {
         return Err(format!(
@@ -162,7 +171,7 @@ pub fn parse_request(line: &str, limits: &Limits) -> Result<Request, String> {
             limits.max_line_bytes
         ));
     }
-    let pairs = parse_object_bytes(line.trim().as_bytes(), limits.element_budget())?;
+    let mut obj = ObjectReader::new(line.trim().as_bytes(), limits.element_budget())?;
     let mut op = None;
     let mut id = String::new();
     let mut model = "default".to_string();
@@ -172,28 +181,59 @@ pub fn parse_request(line: &str, limits: &Limits) -> Result<Request, String> {
     let mut features = None;
     let mut deadline_ms = None;
     let mut timing = false;
-    for (key, value) in pairs {
-        match key.as_str() {
-            "op" => op = Some(req_str(&value, "op")?),
-            "id" => id = req_str(&value, "id")?,
-            "model" => model = req_str(&value, "model")?,
-            "path" => path = Some(req_str(&value, "path")?),
-            "nodes" => {
-                num_nodes = Some(
-                    value
-                        .as_uint()
-                        .ok_or("`nodes` must be a non-negative integer")?
-                        as usize,
-                )
+    let mut field_error = None;
+    while let Some(key) = obj.next_key()? {
+        let field = match key.as_str() {
+            "op" => string(obj.value()?, "op").map(|s| op = Some(s)),
+            "id" => string(obj.value()?, "id").map(|s| id = s),
+            "model" => string(obj.value()?, "model").map(|s| model = s),
+            "path" => string(obj.value()?, "path").map(|s| path = Some(s)),
+            "nodes" => obj
+                .value()?
+                .as_uint()
+                .map(|n| num_nodes = Some(n as usize))
+                .ok_or_else(|| "`nodes` must be a non-negative integer".into()),
+            "edges" => obj
+                .u32_pairs(limits.max_edges)?
+                .map(|e| edges = Some(e))
+                .map_err(|e| match e {
+                    NotU32Pairs::NotArray => "`edges` must be an array of pairs".into(),
+                    NotU32Pairs::TooMany(n) => {
+                        format!("graph has {n} edges (limit {})", limits.max_edges)
+                    }
+                    NotU32Pairs::NotPair => "each edge must be a [src,dst] pair".into(),
+                    NotU32Pairs::NotInteger => "edge endpoints must be integers".into(),
+                    NotU32Pairs::OutOfRange => "edge endpoint out of range".into(),
+                }),
+            "features" => obj
+                .f32_array()?
+                .map(|f| features = Some(f))
+                .map_err(|e| match e {
+                    NotF32Array::NotArray => "`features` must be a number array".into(),
+                    NotF32Array::NotNumber => "`features` must contain only numbers".into(),
+                    NotF32Array::NotFinite => "`features` must be finite".into(),
+                }),
+            "deadline_ms" => obj
+                .value()?
+                .as_uint()
+                .map(|d| deadline_ms = Some(d))
+                .ok_or_else(|| "`deadline_ms` must be an integer".into()),
+            "timing" => obj
+                .value()?
+                .as_bool()
+                .map(|t| timing = t)
+                .ok_or_else(|| "`timing` must be a boolean".into()),
+            other => {
+                obj.value()?;
+                Err(format!("unknown field `{other}`"))
             }
-            "edges" => edges = Some(parse_edges(&value, limits)?),
-            "features" => features = Some(parse_features(&value)?),
-            "deadline_ms" => {
-                deadline_ms = Some(value.as_uint().ok_or("`deadline_ms` must be an integer")?)
-            }
-            "timing" => timing = value.as_bool().ok_or("`timing` must be a boolean")?,
-            other => return Err(format!("unknown field `{other}`")),
+        };
+        if let Err(e) = field {
+            field_error.get_or_insert(e);
         }
+    }
+    if let Some(e) = field_error {
+        return Err(e);
     }
     let op = op.ok_or("missing `op` field")?;
     match op.as_str() {
@@ -251,49 +291,11 @@ pub fn parse_request(line: &str, limits: &Limits) -> Result<Request, String> {
     }
 }
 
-fn req_str(value: &Json, key: &str) -> Result<String, String> {
-    value
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("`{key}` must be a string"))
-}
-
-fn parse_edges(value: &Json, limits: &Limits) -> Result<Vec<(u32, u32)>, String> {
-    let arr = value.as_arr().ok_or("`edges` must be an array of pairs")?;
-    if arr.len() > limits.max_edges {
-        return Err(format!(
-            "graph has {} edges (limit {})",
-            arr.len(),
-            limits.max_edges
-        ));
+fn string(value: Json, key: &str) -> Result<String, String> {
+    match value {
+        Json::Str(s) => Ok(s),
+        _ => Err(format!("`{key}` must be a string")),
     }
-    let mut edges = Vec::with_capacity(arr.len());
-    for pair in arr {
-        let pair = pair.as_arr().ok_or("each edge must be a [src,dst] pair")?;
-        if pair.len() != 2 {
-            return Err("each edge must be a [src,dst] pair".into());
-        }
-        let s = pair[0].as_uint().ok_or("edge endpoints must be integers")?;
-        let d = pair[1].as_uint().ok_or("edge endpoints must be integers")?;
-        if s > u32::MAX as u64 || d > u32::MAX as u64 {
-            return Err("edge endpoint out of range".into());
-        }
-        edges.push((s as u32, d as u32));
-    }
-    Ok(edges)
-}
-
-fn parse_features(value: &Json) -> Result<Vec<f32>, String> {
-    let arr = value.as_arr().ok_or("`features` must be a number array")?;
-    let mut out = Vec::with_capacity(arr.len());
-    for v in arr {
-        let f = v.as_f64().ok_or("`features` must contain only numbers")? as f32;
-        if !f.is_finite() {
-            return Err("`features` must be finite".into());
-        }
-        out.push(f);
-    }
-    Ok(out)
 }
 
 /// Response status, mirrored by the failure-modes table in the docs.
@@ -568,6 +570,102 @@ mod tests {
         }
     }
 
+    fn infer(body: &str, limits: &Limits) -> Result<InferRequest, String> {
+        match parse_request(&format!(r#"{{"op":"infer","id":"p",{body}}}"#), limits)? {
+            Request::Infer(req) => Ok(req),
+            other => panic!("not infer: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn typed_decode_keeps_values_and_bits() {
+        let limits = Limits::default();
+        // `-0` keeps its sign bit in features.
+        let req = infer(r#""nodes":1,"features":[-0,0,-0.0]"#, &limits).unwrap();
+        let bits: Vec<u32> = req.features.iter().map(|f| f.to_bits()).collect();
+        assert_eq!(bits, [0x8000_0000, 0, 0x8000_0000]);
+        // Integral endpoints in any spelling are accepted, as before.
+        let req = infer(
+            r#""nodes":3,"edges":[[1e0,2.0],[-0,0002]],"features":[1,2,3]"#,
+            &limits,
+        )
+        .unwrap();
+        assert_eq!(req.edges, vec![(1, 2), (0, 2)]);
+        // Duplicate keys: the last one wins.
+        let req = infer(r#""nodes":2,"nodes":1,"features":[1,2]"#, &limits).unwrap();
+        assert_eq!((req.num_nodes, req.feature_dim()), (1, 2));
+        // `model` and `deadline_ms`.
+        let req = infer(
+            r#""model":"m2","deadline_ms":250,"nodes":1,"features":[1]"#,
+            &limits,
+        )
+        .unwrap();
+        assert_eq!((req.model.as_str(), req.deadline_ms), ("m2", Some(250)));
+    }
+
+    #[test]
+    fn typed_decode_keeps_error_messages_and_precedence() {
+        let limits = Limits::default();
+        let feature_cases = [
+            ("[3.5e38]", "`features` must be finite"),
+            ("[1e999]", "non-finite number `1e999`"),
+            ("[1,[2]]", "`features` must contain only numbers"),
+            ("\"x\"", "`features` must be a number array"),
+            // The first offending element decides.
+            ("[3.5e38,\"a\"]", "`features` must be finite"),
+        ];
+        for (features, want) in feature_cases {
+            let body = format!(r#""nodes":1,"features":{features}"#);
+            assert_eq!(infer(&body, &limits).unwrap_err(), want, "{body}");
+        }
+        let two_edges = Limits {
+            max_edges: 2,
+            ..Limits::default()
+        };
+        let edge_cases = [
+            ("[[0,1,1]]", "each edge must be a [src,dst] pair"),
+            ("[[0,\"1\"]]", "edge endpoints must be integers"),
+            ("[[4294967296,1]]", "edge endpoint out of range"),
+            ("[[1e20,4294967296]]", "edge endpoints must be integers"),
+            // Too many edges outranks a bad pair.
+            ("[[0,0],[0],[0,0]]", "graph has 3 edges (limit 2)"),
+        ];
+        for (edges, want) in edge_cases {
+            let body = format!(r#""nodes":2,"edges":{edges},"features":[1,2]"#);
+            assert_eq!(infer(&body, &two_edges).unwrap_err(), want, "{body}");
+        }
+        // The element budget (2·3 + 1·1 = 7 here) runs out inside `edges`.
+        let tight = Limits {
+            max_nodes: 1,
+            max_edges: 2,
+            max_feature_dim: 1,
+            ..Limits::default()
+        };
+        let body = r#""nodes":1,"edges":[[0,0],[0,0],[0,0]],"features":[1]"#;
+        let err = infer(body, &tight).unwrap_err();
+        assert_eq!(err, "request exceeds the array element limit");
+        // A field error followed by a later syntax error reports the
+        // syntax error; of two field errors, the first in key order.
+        let order_cases = [
+            (r#""nodes":"x","features":[1,]"#, "malformed number ``"),
+            (
+                r#""nodes":"x","features":"y""#,
+                "`nodes` must be a non-negative integer",
+            ),
+            (
+                r#""model":3,"deadline_ms":2.5,"features":[1]"#,
+                "`model` must be a string",
+            ),
+            (
+                r#""deadline_ms":2.5,"features":[1]"#,
+                "`deadline_ms` must be an integer",
+            ),
+        ];
+        for (body, want) in order_cases {
+            assert_eq!(infer(body, &limits).unwrap_err(), want, "{body}");
+        }
+    }
+
     #[test]
     fn oversized_lines_are_rejected_before_parsing() {
         let limits = Limits {
@@ -605,24 +703,38 @@ mod tests {
 
     #[test]
     fn best_effort_id_recovers_when_possible() {
+        let limits = Limits::default();
         assert_eq!(
-            best_effort_id(r#"{"id":"abc","op":"nope"}"#).as_deref(),
+            best_effort_id(r#"{"id":"abc","op":"nope"}"#, &limits).as_deref(),
             Some("abc")
         );
-        assert_eq!(best_effort_id(r#"{"id":"#), None);
-        assert_eq!(best_effort_id("not json at all"), None);
+        assert_eq!(best_effort_id(r#"{"id":"#, &limits), None);
+        assert_eq!(best_effort_id("not json at all", &limits), None);
         // A parseable line without an id recovers nothing.
-        assert_eq!(best_effort_id(r#"{"op":"nope"}"#), None);
+        assert_eq!(best_effort_id(r#"{"op":"nope"}"#, &limits), None);
         // An id the client really sent — even empty — is preserved.
         assert_eq!(
-            best_effort_id(r#"{"id":"","op":"nope"}"#).as_deref(),
+            best_effort_id(r#"{"id":"","op":"nope"}"#, &limits).as_deref(),
             Some("")
         );
         // Textual scan on an unparseable tail still finds the id.
         assert_eq!(
-            best_effort_id(r#"{"id":"x7",   "op": <garbage"#).as_deref(),
+            best_effort_id(r#"{"id":"x7",   "op": <garbage"#, &limits).as_deref(),
             Some("x7")
         );
+        // Over the length limit only the textual scan runs: it finds a
+        // plain id but not one the parser would have unescaped.
+        let tight = Limits {
+            max_line_bytes: 8,
+            ..Limits::default()
+        };
+        assert_eq!(
+            best_effort_id(r#"{"id":"p","op":"nope"}"#, &tight).as_deref(),
+            Some("p")
+        );
+        let escaped = r#"{"id":"a\nb","op":"nope"}"#;
+        assert_eq!(best_effort_id(escaped, &limits).as_deref(), Some("a\nb"));
+        assert_eq!(best_effort_id(escaped, &tight), None);
     }
 
     #[test]

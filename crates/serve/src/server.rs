@@ -387,22 +387,11 @@ impl Server {
     pub fn submit_line_routed(&self, line: &str, tx: &ReplyTx) {
         self.stats.received.fetch_add(1, Ordering::Relaxed);
         trace::metrics::counter_add("serve/requests", 1);
-        if line.len() > self.config.limits.max_line_bytes {
-            self.respond_error(
-                tx,
-                crate::protocol::best_effort_id(line),
-                format!(
-                    "request line is {} bytes (limit {})",
-                    line.len(),
-                    self.config.limits.max_line_bytes
-                ),
-            );
-            return;
-        }
-        let request = match crate::protocol::parse_request(line, &self.config.limits) {
+        let limits = &self.config.limits;
+        let request = match crate::protocol::parse_request(line, limits) {
             Ok(r) => r,
             Err(e) => {
-                self.respond_error(tx, crate::protocol::best_effort_id(line), e);
+                self.respond_error(tx, crate::protocol::best_effort_id(line, limits), e);
                 return;
             }
         };
@@ -704,6 +693,10 @@ impl Executor {
                         w.record_queue_depth(now, depth);
                     }
                     self.process_batch(batch, assembled_at);
+                    // Batch shapes vary from one batch to the next, so the
+                    // pool would otherwise keep the high-water set of every
+                    // size class: free what this batch did not recycle.
+                    tensor::pool::trim_idle();
                 }
                 Work::Reload {
                     id,
@@ -854,7 +847,7 @@ impl Executor {
             .then(|| self.fault.slow_ms.load(Ordering::Relaxed))
     }
 
-    fn run_group(&mut self, model: &str, jobs: Vec<InferJob>, assembled_at: Instant) {
+    fn run_group(&mut self, model: &str, mut jobs: Vec<InferJob>, assembled_at: Instant) {
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         trace::metrics::observe("serve/batch_size", jobs.len() as f64);
         let Some(entry) = self.registry.get_mut(model) else {
@@ -885,7 +878,7 @@ impl Executor {
             return;
         }
         let (outputs, forward_start, forward_end) =
-            Self::forward_with_retries(entry, &jobs, &self.config, &self.fault, &self.stats);
+            Self::forward_with_retries(entry, &mut jobs, &self.config, &self.fault, &self.stats);
         let task = entry.spec.task;
         let version = entry.version;
         let any_degraded = match outputs {
@@ -984,20 +977,21 @@ impl Executor {
     /// per row) plus the forward start/end stamps: start is taken after
     /// graph building and padding (so assembly is attributed to the
     /// `assemble` stage), end after the last attempt (retries and backoff
-    /// are compute time).
+    /// are compute time). The jobs' features move into the graphs; the
+    /// retries reuse the graphs, never the jobs.
     fn forward_with_retries(
         entry: &mut ModelEntry,
-        jobs: &[InferJob],
+        jobs: &mut [InferJob],
         config: &ServeConfig,
         fault: &Arc<FaultInjector>,
         stats: &Arc<ServeStats>,
     ) -> (Option<Tensor>, Instant, Instant) {
         let dim = entry.spec.in_dim;
         let mut graphs: Vec<Graph> = jobs
-            .iter()
+            .iter_mut()
             .map(|job| {
                 let n = job.req.num_nodes;
-                let features = Tensor::from_vec(job.req.features.clone(), [n, dim]);
+                let features = Tensor::from_vec(std::mem::take(&mut job.req.features), [n, dim]);
                 let mut g = Graph::new(n, features, Label::Class(0));
                 for &(s, d) in &job.req.edges {
                     g.add_directed_edge(s as usize, d as usize);

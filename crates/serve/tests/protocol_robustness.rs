@@ -2,6 +2,9 @@
 //! yield a structured `error` response — never a dead server, and never a
 //! changed answer for the well-formed requests sharing the wire with it.
 
+mod counting_alloc;
+
+use counting_alloc::{largest_alloc_during, CountingAlloc};
 use oodgnn_core::TrainCheckpoint;
 use oodgnn_serve::{ModelSpec, Response, ServeConfig, Server, Status};
 use std::path::PathBuf;
@@ -10,6 +13,9 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 static GLOBAL: Mutex<()> = Mutex::new(());
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const IN_DIM: usize = 4;
 
@@ -164,6 +170,20 @@ fn oversized_payloads_are_rejected_before_parsing() {
     let r = ask(&server, &huge);
     assert_eq!(r.status, Status::Error);
     assert!(r.error.as_ref().unwrap().contains("bytes"));
+    // Rejecting an over-limit line parses none of it: recovering the id
+    // is a textual scan, so no allocation scales with the line.
+    let line = format!(
+        "{{\"op\":\"infer\",\"id\":\"big\",\"nodes\":1,\"features\":[{}1]}}",
+        "1,".repeat(4 << 20)
+    );
+    assert!(line.len() > 8 << 20);
+    let (r, largest) = largest_alloc_during(|| ask(&server, &line));
+    assert_eq!(r.status, Status::Error);
+    assert_eq!(r.id.as_deref(), Some("big"));
+    assert!(
+        largest < 64 << 10,
+        "rejecting an 8 MiB line allocated {largest} bytes at once"
+    );
     // Within the line limit but over the element budget.
     let wide = format!(
         "{{\"op\":\"infer\",\"id\":\"wide\",\"nodes\":1,\"features\":[{}1]}}",

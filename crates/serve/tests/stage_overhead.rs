@@ -4,43 +4,10 @@
 //! allocate after warmup. The rolling windows are fixed-capacity by
 //! design; this pins that property with a counting global allocator.
 
+mod counting_alloc;
+
+use counting_alloc::{thread_allocs, CountingAlloc};
 use oodgnn_serve::{ServeWindows, StageTiming};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// System allocator wrapper counting allocations per thread, so a test
-/// measures only its own work even while sibling tests run alongside.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_alloc() {
-    // `try_with`: the slot is gone while the thread tears down.
-    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-/// Allocations made by the calling thread so far.
-fn thread_allocs() -> u64 {
-    ALLOC_CALLS.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;

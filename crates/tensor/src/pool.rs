@@ -21,7 +21,10 @@
 //!   in practice the pool lives on the training thread.
 //! * **Bounded retention.** Buckets cap their buffer count and the pool
 //!   caps total retained bytes per thread; overflow is freed (and counted
-//!   as an eviction) rather than hoarded.
+//!   as an eviction) rather than hoarded. A thread whose workload changes
+//!   shape from one unit of work to the next (the serving executor, one
+//!   batch at a time) calls [`trim_idle`] between units, which frees the
+//!   buffers the last unit did not recycle.
 //!
 //! The pool is on by default; `OOD_POOL=0` disables it at startup and
 //! [`set_enabled`] toggles it at runtime (the `mem_sweep` bench uses this
@@ -44,6 +47,9 @@ const MAX_CLASS_BUFFERS: usize = 64;
 const MAX_RETAINED_BYTES: u64 = 256 << 20;
 /// Shared-constant cache entries (distinct shapes) before a full clear.
 const MAX_SHARED_SHAPES: usize = 256;
+/// [`trim_idle`] keeps the buffers returned within this many of its most
+/// recent calls, counting the period since the last call as one.
+const TRIM_WINDOW: u64 = 1;
 
 // ------------------------------------------------------------- global stats
 
@@ -146,6 +152,31 @@ pub fn set_enabled(on: bool) -> bool {
     prev
 }
 
+/// Free every buffer in this thread's pool that has not been returned since
+/// the previous call, then start a new period. Bitwise-neutral like the
+/// rest of the pool: a later request is served by a fresh allocation
+/// instead of a recycled one.
+pub fn trim_idle() {
+    let _ = POOL.try_with(|p| {
+        let mut pool = p.borrow_mut();
+        let keep_from = (pool.epoch + 1).saturating_sub(TRIM_WINDOW);
+        let mut freed = 0u64;
+        pool.buckets.retain(|_, bucket| {
+            bucket.retain(|(v, epoch)| {
+                let keep = *epoch >= keep_from;
+                if !keep {
+                    freed += (v.capacity() * std::mem::size_of::<f32>()) as u64;
+                }
+                keep
+            });
+            !bucket.is_empty()
+        });
+        pool.retained_bytes -= freed;
+        pool.epoch += 1;
+        RETAINED_BYTES.fetch_sub(freed, Ordering::Relaxed);
+    });
+}
+
 /// Free every buffer retained by this thread's pool (and its shared
 /// constant cache).
 pub fn drain_thread_pool() {
@@ -161,16 +192,20 @@ pub fn drain_thread_pool() {
 // ------------------------------------------------------------ the buckets
 
 struct ThreadPool {
-    /// `log2(capacity class)` -> buffers with at least that capacity.
-    buckets: HashMap<u32, Vec<Vec<f32>>>,
+    /// `log2(capacity class)` -> buffers with at least that capacity, each
+    /// tagged with the [`ThreadPool::epoch`] it was returned in.
+    buckets: HashMap<u32, Vec<(Vec<f32>, u64)>>,
     /// Bytes retained by this thread (mirrored into [`RETAINED_BYTES`]).
     retained_bytes: u64,
+    /// Number of [`trim_idle`] calls on this thread.
+    epoch: u64,
 }
 
 thread_local! {
     static POOL: RefCell<ThreadPool> = RefCell::new(ThreadPool {
         buckets: HashMap::new(),
         retained_bytes: 0,
+        epoch: 0,
     });
     /// Per-shape cached all-ones / all-zeros tensors, shared by reference
     /// (backward seeds, unreached-gradient reads).
@@ -209,7 +244,11 @@ pub(crate) fn take_raw(n: usize) -> Vec<f32> {
         let reused = POOL
             .try_with(|p| {
                 let mut pool = p.borrow_mut();
-                let v = pool.buckets.get_mut(&cls).and_then(|b| b.pop());
+                let v = pool
+                    .buckets
+                    .get_mut(&cls)
+                    .and_then(|b| b.pop())
+                    .map(|(v, _)| v);
                 if let Some(ref v) = v {
                     let bytes = (v.capacity() * std::mem::size_of::<f32>()) as u64;
                     pool.retained_bytes = pool.retained_bytes.saturating_sub(bytes);
@@ -266,11 +305,12 @@ pub(crate) fn give(v: Vec<f32>) {
             if pool.retained_bytes + bytes > MAX_RETAINED_BYTES {
                 return false;
             }
+            let epoch = pool.epoch;
             let bucket = pool.buckets.entry(cls).or_default();
             if bucket.len() >= MAX_CLASS_BUFFERS {
                 return false;
             }
-            bucket.push(v);
+            bucket.push((v, epoch));
             pool.retained_bytes += bytes;
             true
         })
@@ -391,6 +431,73 @@ mod tests {
         let _v = take_raw(4096);
         let after_take = stats();
         assert!(after_take.peak_retained_bytes >= after_give.peak_retained_bytes);
+        set_enabled(was);
+    }
+
+    /// This thread's pool: (buffers in the class of `n`, retained bytes,
+    /// sum of the bucketed capacities in bytes).
+    fn thread_pool_view(n: usize) -> (usize, u64, u64) {
+        POOL.with(|p| {
+            let pool = p.borrow();
+            let in_class = pool.buckets.get(&request_class(n)).map_or(0, Vec::len);
+            let bucketed = pool
+                .buckets
+                .values()
+                .flatten()
+                .map(|(v, _)| (v.capacity() * std::mem::size_of::<f32>()) as u64)
+                .sum();
+            (in_class, pool.retained_bytes, bucketed)
+        })
+    }
+
+    #[test]
+    fn trim_frees_idle_buffers_and_keeps_recycled_ones() {
+        let _guard = lock();
+        let was = set_enabled(true);
+        drain_thread_pool();
+        let (busy, idle) = (take_raw(1000), take_raw(5000));
+        let busy_ptr = busy.as_ptr();
+        give(busy);
+        give(idle);
+        // Both were returned since the last trim: both survive it.
+        trim_idle();
+        assert_eq!(thread_pool_view(1000).0, 1);
+        assert_eq!(thread_pool_view(5000).0, 1);
+        // Recycle one of them in every period of the window; the other
+        // sits idle and goes.
+        for _ in 0..TRIM_WINDOW {
+            let v = take_raw(1000);
+            assert_eq!(v.as_ptr(), busy_ptr, "the recycled buffer survived");
+            give(v);
+            trim_idle();
+        }
+        assert_eq!(thread_pool_view(1000).0, 1);
+        assert_eq!(thread_pool_view(5000).0, 0, "the idle buffer was freed");
+        let (_, retained, bucketed) = thread_pool_view(0);
+        assert_eq!(retained, bucketed);
+        assert_eq!(retained, 1024 * 4);
+        drain_thread_pool();
+        set_enabled(was);
+    }
+
+    #[test]
+    fn trim_keeps_retained_bytes_equal_to_the_buckets() {
+        let _guard = lock();
+        let was = set_enabled(true);
+        drain_thread_pool();
+        for round in 0..6usize {
+            // A different mix of sizes each round, some reused.
+            let bufs: Vec<Vec<f32>> = (0..round + 2)
+                .map(|i| take_raw(64 << ((i + round) % 5)))
+                .collect();
+            bufs.into_iter().for_each(give);
+            trim_idle();
+            let (_, retained, bucketed) = thread_pool_view(0);
+            assert_eq!(retained, bucketed, "round {round}");
+        }
+        drain_thread_pool();
+        trim_idle();
+        assert_eq!(thread_pool_view(0).1, 0, "trimming an empty pool");
         set_enabled(was);
     }
 

@@ -15,9 +15,10 @@ use std::sync::Mutex;
 /// serialize tests touching them.
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
-/// Five replays of a loss + gradient graph; returns
-/// every loss value and gradient element produced.
-fn workload() -> Vec<f32> {
+/// Five replays of a loss + gradient graph, with a [`pool::trim_idle`]
+/// after each when `trim` is set; returns every loss value and gradient
+/// element produced.
+fn workload(trim: bool) -> Vec<f32> {
     let mut rng = Rng::seed_from(3);
     let (n, d) = (24usize, 6usize);
     let x = Tensor::randn([n, d], &mut rng);
@@ -51,6 +52,11 @@ fn workload() -> Vec<f32> {
         let g = tape.backward(loss);
         out.extend_from_slice(g.get(xn).expect("grad reaches x").data());
         out.extend_from_slice(g.get(wn).expect("grad reaches w").data());
+        drop(g);
+        drop(tape);
+        if trim {
+            pool::trim_idle();
+        }
     }
     out
 }
@@ -59,7 +65,7 @@ fn run(pool_on: bool, threads: usize) -> (Vec<f32>, pool::PoolStats) {
     par::set_threads(threads);
     pool::set_enabled(pool_on);
     pool::reset_stats();
-    let out = workload();
+    let out = workload(false);
     (out, pool::stats())
 }
 
@@ -120,5 +126,56 @@ fn disabled_pool_reports_zero_hits() {
     assert_eq!(stats.hits, 0, "{stats:?}");
     assert_eq!(stats.bytes_reused, 0, "{stats:?}");
     assert!(stats.allocations > 0, "{stats:?}");
+    restore();
+}
+
+#[test]
+fn trimming_between_replays_never_changes_results() {
+    let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (reference, _) = run(false, 1);
+    for threads in [1, 4] {
+        par::set_threads(threads);
+        pool::set_enabled(true);
+        assert_bitwise_eq(
+            &reference,
+            &workload(true),
+            &format!("trimmed pool t={threads} vs pool=off t=1"),
+        );
+    }
+    restore();
+}
+
+#[test]
+fn trim_frees_the_idle_buffer_and_keeps_the_recycled_one() {
+    let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    par::set_threads(1);
+    pool::set_enabled(true);
+    pool::drain_thread_pool();
+    drop((Tensor::zeros([1000]), Tensor::zeros([5000])));
+    // Keep the small buffer busy for a few periods while the large one
+    // idles.
+    for _ in 0..4 {
+        drop(Tensor::zeros([1000]));
+        pool::trim_idle();
+    }
+    // Only this thread takes buffers while the lock is held (a finished
+    // test's thread may still be returning some), so hits and misses
+    // move only with the two requests below.
+    let before = pool::stats();
+    drop(Tensor::zeros([1000]));
+    let mid = pool::stats();
+    assert_eq!(
+        (mid.hits, mid.misses),
+        (before.hits + 1, before.misses),
+        "the recycled buffer survived"
+    );
+    drop(Tensor::zeros([5000]));
+    let after = pool::stats();
+    assert_eq!(
+        (after.hits, after.misses),
+        (mid.hits, mid.misses + 1),
+        "the idle buffer was freed"
+    );
+    pool::drain_thread_pool();
     restore();
 }

@@ -10,7 +10,10 @@
 //! error, never a panic. Array element counts are bounded by a
 //! caller-supplied budget so a hostile payload cannot balloon memory, and
 //! non-finite numbers are rejected. [`parse_object`] adapts it to flat
-//! telemetry objects of [`Value`]s.
+//! telemetry objects of [`Value`]s. [`ObjectReader`] is the same parser
+//! driven one key at a time, with typed readers that decode number
+//! arrays and integer pairs without building a [`Json`] per element (the
+//! serving protocol's `features` and `edges`).
 
 use crate::event::Value;
 
@@ -99,9 +102,7 @@ impl Json {
     /// The value as a finite non-negative integer, if it is one.
     pub fn as_uint(&self) -> Option<u64> {
         match self {
-            Json::Num(n, _) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n, _) => as_uint(*n),
             _ => None,
         }
     }
@@ -155,22 +156,92 @@ pub fn parse_object_bytes(
     bytes: &[u8],
     max_elements: usize,
 ) -> Result<Vec<(String, Json)>, String> {
-    let mut p = Parser {
-        bytes,
-        pos: 0,
-        budget: max_elements,
-    };
-    p.skip_ws();
-    if !p.eat(b'{') {
-        return Err("expected '{' at start of request".into());
-    }
+    let mut obj = ObjectReader::new(bytes, max_elements)?;
     let mut pairs = Vec::new();
-    p.skip_ws();
-    if p.eat(b'}') {
-        p.expect_end()?;
-        return Ok(pairs);
+    while let Some(key) = obj.next_key()? {
+        pairs.push((key, obj.value()?));
     }
-    loop {
+    Ok(pairs)
+}
+
+/// One pass over a top-level JSON object, for callers that know the shape
+/// of some values and want them decoded straight into typed buffers.
+///
+/// [`ObjectReader::next_key`] yields the keys in order; after each one the
+/// caller reads its value with exactly one of [`ObjectReader::value`],
+/// [`ObjectReader::f32_array`] or [`ObjectReader::u32_pairs`]. All three
+/// are the same parser, so syntax errors, their messages and the element
+/// budget are exactly those of [`parse_object_bytes`] — which is this
+/// reader with [`ObjectReader::value`] for every key. The typed readers
+/// report a well-formed value of the wrong shape separately from a syntax
+/// error (the value has then been consumed), so the caller can defer the
+/// former and let a later syntax error win.
+pub struct ObjectReader<'a> {
+    p: Parser<'a>,
+    first: bool,
+}
+
+/// Why a well-formed value read by [`ObjectReader::f32_array`] is not an
+/// array of finite `f32`s. The first offending element decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NotF32Array {
+    /// The value is not an array.
+    NotArray,
+    /// An element is not a number.
+    NotNumber,
+    /// An element is a finite `f64` that is not finite as an `f32`.
+    NotFinite,
+}
+
+/// Why a well-formed value read by [`ObjectReader::u32_pairs`] is not a
+/// list of `[u32, u32]` pairs. `TooMany` outranks the per-pair reasons,
+/// of which the first offending pair decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NotU32Pairs {
+    /// The value is not an array.
+    NotArray,
+    /// The array holds this many pairs, more than the caller's limit.
+    TooMany(usize),
+    /// An element is not a two-element array.
+    NotPair,
+    /// An endpoint is not a non-negative integer (see [`Json::as_uint`]).
+    NotInteger,
+    /// An endpoint is an integer above `u32::MAX`.
+    OutOfRange,
+}
+
+impl<'a> ObjectReader<'a> {
+    /// Start reading the object in `bytes`; `max_elements` bounds the
+    /// total number of array elements, as in [`parse_object_bytes`].
+    pub fn new(bytes: &'a [u8], max_elements: usize) -> Result<Self, String> {
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            budget: max_elements,
+        };
+        p.skip_ws();
+        if !p.eat(b'{') {
+            return Err("expected '{' at start of request".into());
+        }
+        Ok(ObjectReader { p, first: true })
+    }
+
+    /// The next key, with the cursor left on its value; `None` once the
+    /// closing brace and the end of the input have been checked.
+    pub fn next_key(&mut self) -> Result<Option<String>, String> {
+        let p = &mut self.p;
+        p.skip_ws();
+        // After '{' a key or '}' follows; after a value, ',' or '}'.
+        let first = std::mem::take(&mut self.first);
+        if first || !p.eat(b',') {
+            if p.eat(b'}') {
+                p.expect_end()?;
+                return Ok(None);
+            }
+            if !first {
+                return Err("expected ',' or '}' in object".into());
+            }
+        }
         p.skip_ws();
         let key = p.parse_string()?;
         p.skip_ws();
@@ -178,22 +249,82 @@ pub fn parse_object_bytes(
             return Err(format!("expected ':' after key \"{key}\""));
         }
         p.skip_ws();
-        let value = p.parse_value(0)?;
-        pairs.push((key, value));
-        p.skip_ws();
-        if p.eat(b',') {
-            continue;
-        }
-        if p.eat(b'}') {
-            break;
-        }
-        return Err("expected ',' or '}' in object".into());
+        Ok(Some(key))
     }
-    p.expect_end()?;
-    Ok(pairs)
+
+    /// The current value as a [`Json`].
+    pub fn value(&mut self) -> Result<Json, String> {
+        self.p.parse_value(0)
+    }
+
+    /// The current value decoded straight into `f32`s: each number goes
+    /// through `f64` (so the bits are those of `Json::Num(x, _).0 as
+    /// f32`) without building a [`Json`] per element.
+    pub fn f32_array(&mut self) -> Result<Result<Vec<f32>, NotF32Array>, String> {
+        let p = &mut self.p;
+        if p.peek() != Some(b'[') {
+            p.parse_value(0)?;
+            return Ok(Err(NotF32Array::NotArray));
+        }
+        let mut out = Vec::new();
+        let mut shape = Ok(());
+        p.array(0, |p| {
+            let err = if p.at_number() {
+                let f = finite(p.number_text())? as f32;
+                if f.is_finite() {
+                    out.push(f);
+                    return Ok(());
+                }
+                NotF32Array::NotFinite
+            } else {
+                p.parse_value(1)?;
+                NotF32Array::NotNumber
+            };
+            if shape.is_ok() {
+                shape = Err(err);
+            }
+            Ok(())
+        })?;
+        Ok(shape.map(|()| out))
+    }
+
+    /// The current value decoded straight into `(u32, u32)` pairs. The
+    /// budget is charged as [`ObjectReader::value`] would: one element
+    /// per pair plus one per endpoint. More than `max_pairs` pairs is
+    /// [`NotU32Pairs::TooMany`], counted to the end of the array.
+    pub fn u32_pairs(
+        &mut self,
+        max_pairs: usize,
+    ) -> Result<Result<Vec<(u32, u32)>, NotU32Pairs>, String> {
+        let p = &mut self.p;
+        if p.peek() != Some(b'[') {
+            p.parse_value(0)?;
+            return Ok(Err(NotU32Pairs::NotArray));
+        }
+        let mut pairs = Vec::new();
+        let mut count = 0usize;
+        let mut shape = Ok(());
+        p.array(0, |p| {
+            count += 1;
+            match p.u32_pair()? {
+                Ok(pair) if shape.is_ok() && count <= max_pairs => pairs.push(pair),
+                Err(err) if shape.is_ok() => shape = Err(err),
+                _ => {}
+            }
+            Ok(())
+        })?;
+        if count > max_pairs {
+            return Ok(Err(NotU32Pairs::TooMany(count)));
+        }
+        Ok(shape.map(|()| pairs))
+    }
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
     fn skip_ws(&mut self) {
         while self
             .bytes
@@ -222,8 +353,17 @@ impl Parser<'_> {
         }
     }
 
+    /// Whether [`Parser::parse_value`] would read the value at the cursor
+    /// as a number.
+    fn at_number(&self) -> bool {
+        !matches!(
+            self.peek(),
+            None | Some(b'"' | b'[' | b'{' | b't' | b'f' | b'n')
+        )
+    }
+
     fn parse_value(&mut self, depth: usize) -> Result<Json, String> {
-        match self.bytes.get(self.pos) {
+        match self.peek() {
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b'[') => self.parse_array(depth),
             Some(b'{') => Err("nested objects are not part of the protocol".into()),
@@ -244,15 +384,20 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_array(&mut self, depth: usize) -> Result<Json, String> {
+    /// Walk the array at the cursor (on its `[`), charging each element
+    /// to the budget and calling `element` with the cursor on it.
+    fn array(
+        &mut self,
+        depth: usize,
+        mut element: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
         if depth >= MAX_DEPTH {
             return Err("arrays nested deeper than the protocol allows".into());
         }
         self.pos += 1; // consume '['
-        let mut items = Vec::new();
         self.skip_ws();
         if self.eat(b']') {
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             if self.budget == 0 {
@@ -260,16 +405,58 @@ impl Parser<'_> {
             }
             self.budget -= 1;
             self.skip_ws();
-            items.push(self.parse_value(depth + 1)?);
+            element(self)?;
             self.skip_ws();
             if self.eat(b',') {
                 continue;
             }
             if self.eat(b']') {
-                return Ok(Json::Arr(items));
+                return Ok(());
             }
             return Err("expected ',' or ']' in array".into());
         }
+    }
+
+    fn parse_array(&mut self, depth: usize) -> Result<Json, String> {
+        let mut items = Vec::new();
+        self.array(depth, |p| {
+            items.push(p.parse_value(depth + 1)?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
+    }
+
+    /// One element of a pair array (at depth 1): `Ok` for a `[s, d]` of
+    /// `u32`s, otherwise why not. Endpoints are checked as the generic
+    /// path would: pair length first, then `s`, then `d`, then range.
+    fn u32_pair(&mut self) -> Result<Result<(u32, u32), NotU32Pairs>, String> {
+        if self.peek() != Some(b'[') {
+            self.parse_value(1)?;
+            return Ok(Err(NotU32Pairs::NotPair));
+        }
+        let mut ends = [None; 2];
+        let mut len = 0usize;
+        self.array(1, |p| {
+            let end = if p.at_number() {
+                p.uint()?
+            } else {
+                p.parse_value(2)?;
+                None
+            };
+            if let Some(slot) = ends.get_mut(len) {
+                *slot = end;
+            }
+            len += 1;
+            Ok(())
+        })?;
+        Ok(match (len, ends) {
+            (2, [Some(s), Some(d)]) => match (u32::try_from(s), u32::try_from(d)) {
+                (Ok(s), Ok(d)) => Ok((s, d)),
+                _ => Err(NotU32Pairs::OutOfRange),
+            },
+            (2, _) => Err(NotU32Pairs::NotInteger),
+            _ => Err(NotU32Pairs::NotPair),
+        })
     }
 
     fn parse_string(&mut self) -> Result<String, String> {
@@ -372,25 +559,38 @@ impl Parser<'_> {
         (0xDC00..=0xDFFF).contains(&code).then_some(code)
     }
 
-    fn parse_number(&mut self) -> Result<Json, String> {
+    /// The number literal at the cursor: every byte that can belong to
+    /// one, checked only by the parse that follows.
+    fn number_text(&mut self) -> &'a str {
+        let bytes = self.bytes;
         let start = self.pos;
-        while self
-            .bytes
+        while bytes
             .get(self.pos)
             .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
         {
             self.pos += 1;
         }
-        // Only ASCII bytes were consumed above, so this cannot fail; kept
-        // as a typed error rather than an unwrap for socket-byte inputs.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid UTF-8 in number")?;
-        let n: f64 = text
-            .parse()
-            .map_err(|_| format!("malformed number `{text}`"))?;
-        if !n.is_finite() {
-            return Err(format!("non-finite number `{text}`"));
+        // SAFETY: every byte taken above is ASCII, so the run is UTF-8.
+        // (Validating it anyway cost a third of a number's decode.)
+        unsafe { std::str::from_utf8_unchecked(&bytes[start..self.pos]) }
+    }
+
+    /// The number at the cursor as [`Json::as_uint`] reads it.
+    fn uint(&mut self) -> Result<Option<u64>, String> {
+        let text = self.number_text();
+        // Up to ten digits is below 2^53, so the float parse would be
+        // exact and can be skipped.
+        if (1..=10).contains(&text.len()) && text.bytes().all(|b| b.is_ascii_digit()) {
+            return Ok(Some(
+                text.bytes().fold(0, |n, b| n * 10 + u64::from(b - b'0')),
+            ));
         }
+        Ok(as_uint(finite(text)?))
+    }
+
+    fn parse_number(&mut self) -> Result<Json, String> {
+        let text = self.number_text();
+        let n = finite(text)?;
         let int = if text.contains(['.', 'e', 'E']) {
             None
         } else {
@@ -398,6 +598,22 @@ impl Parser<'_> {
         };
         Ok(Json::Num(n, int))
     }
+}
+
+/// A number literal's value, rejecting malformed and non-finite ones.
+fn finite(text: &str) -> Result<f64, String> {
+    let n: f64 = text
+        .parse()
+        .map_err(|_| format!("malformed number `{text}`"))?;
+    if !n.is_finite() {
+        return Err(format!("non-finite number `{text}`"));
+    }
+    Ok(n)
+}
+
+/// `n` as a non-negative integer, if it is one that fits a `u64`.
+fn as_uint(n: f64) -> Option<u64> {
+    (n.fract() == 0.0 && n >= 0.0 && n <= u64::MAX as f64).then_some(n as u64)
 }
 
 #[cfg(test)]
@@ -495,6 +711,40 @@ mod tests {
         assert!(parse(r#"{"a":[1,2,3,4,5]}"#, 4).is_err());
         // Nested elements count against the same budget.
         assert!(parse(r#"{"a":[[1,2],[3,4]]}"#, 4).is_err());
+    }
+
+    #[test]
+    fn typed_readers_charge_the_budget_like_the_generic_parser() {
+        let doc = r#"{"e":[[0,1],[2,3],[4,5]],"f":[1,2.5,-0]}"#;
+        for budget in 0..16 {
+            let generic = parse(doc, budget).map(|_| ());
+            let typed = (|| {
+                let mut obj = ObjectReader::new(doc.as_bytes(), budget)?;
+                obj.next_key()?;
+                let pairs = obj.u32_pairs(3)?;
+                obj.next_key()?;
+                let feats = obj.f32_array()?;
+                assert_eq!(obj.next_key()?, None);
+                assert_eq!(pairs, Ok(vec![(0, 1), (2, 3), (4, 5)]));
+                assert_eq!(feats.map(|f| f[2].to_bits()), Ok((-0.0f32).to_bits()));
+                Ok::<(), String>(())
+            })();
+            assert_eq!(typed, generic, "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn typed_readers_report_shape_after_consuming_the_value() {
+        let mut obj =
+            ObjectReader::new(br#"{"a":[1,"x",3e38,1e39],"b":[[0,1],[1],7]}"#, 99).unwrap();
+        obj.next_key().unwrap();
+        assert_eq!(obj.f32_array().unwrap(), Err(NotF32Array::NotNumber));
+        obj.next_key().unwrap();
+        assert_eq!(obj.u32_pairs(9).unwrap(), Err(NotU32Pairs::NotPair));
+        assert_eq!(obj.next_key().unwrap(), None);
+        let mut obj = ObjectReader::new(br#"{"b":[[0,4294967296],[0,1]]}"#, 99).unwrap();
+        obj.next_key().unwrap();
+        assert_eq!(obj.u32_pairs(1).unwrap(), Err(NotU32Pairs::TooMany(2)));
     }
 
     #[test]

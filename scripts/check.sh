@@ -51,6 +51,12 @@ else
     status=1
 fi
 
+echo "== oodbench smoke (served outputs bit for bit against in-process)"
+bash crates/bench/src/bin/oodbench/run.sh --smoke >/dev/null || status=1
+
+echo "== protocol differential fuzz, long run (typed decoder vs generic parser)"
+cargo test --release -p oodgnn-serve --test protocol_fuzz -- --ignored >/dev/null || status=1
+
 echo "== serve_top replay smoke (serve_stats snapshots in the recorded drill trace)"
 drill_trace=$(ls -t results/telemetry/serve_drill-*.jsonl 2>/dev/null | head -1 || true)
 if [ -n "$drill_trace" ]; then
