@@ -5,20 +5,44 @@
 //!
 //! This binary measures (a) wall-time per training epoch vs. dataset size
 //! (expect ~linear), (b) weight-optimization time vs. batch size (expect
-//! ~linear) and (c) vs. representation dimensionality (expect ~quadratic),
-//! and compares one epoch of OOD-GNN against plain GIN.
+//! ~linear), (c) vs. representation dimensionality (expect ~quadratic)
+//! and (d) vs. the number K of global memory groups (the `K|B|d²` term,
+//! expect ~linear), and compares one epoch of OOD-GNN against plain GIN.
 //!
 //! Usage: `cargo run -p bench --release --bin complexity [--seeds 1]`
 
 use bench::{run_method, Args, MethodSpec, SuiteConfig};
 use datasets::triangles::TrianglesConfig;
 use gnn::models::BaselineKind;
+use oodgnn_core::{DecorrelationCtx, DecorrelationKind, GlobalMemory, GraphWeights};
 use std::time::Instant;
+use tensor::optim::Adam;
+use tensor::rng::Rng;
+use tensor::Tensor;
 
 fn time_it(f: impl FnOnce()) -> f32 {
     let t = Instant::now();
     f();
     t.elapsed().as_secs_f32()
+}
+
+/// Milliseconds per inner weight step on the rows of `z`, whose first
+/// `globals.len()` rows are the memory's (fixed weights `globals`): one
+/// lift per batch, then ten weight steps, as the trainer runs.
+fn step_ms(z: &Tensor, globals: &[f32], rng: &mut Rng) -> f32 {
+    let reps = 10;
+    let mut w = GraphWeights::uniform(z.nrows() - globals.len());
+    let mut opt = Adam::new(0.05);
+    let t = time_it(|| {
+        let ctx = DecorrelationCtx::new(z.ncols(), &DecorrelationKind::Rff { q: 1 }, rng);
+        let lifted = ctx.lift(z);
+        for _ in 0..reps {
+            let (_, grad) = w.objective_and_grad(&lifted, globals, 0.0);
+            opt.update(w.param_mut(), &grad);
+            w.project();
+        }
+    });
+    1000.0 * t / reps as f32
 }
 
 fn main() {
@@ -56,28 +80,10 @@ fn main() {
     println!("\n## (b) weight-optimization step vs. batch size (expect ~linear)\n");
     println!("| batch rows (K+1)|B| | time per inner step (ms) |");
     println!("|---|---|");
-    use oodgnn_core::{DecorrelationCtx, DecorrelationKind};
-    use tensor::optim::Adam;
-    use tensor::rng::Rng;
-    use tensor::Tensor;
-    let d = 64;
     for rows in [32usize, 64, 128, 256, 512] {
         let mut rng = Rng::seed_from(1);
-        let z = Tensor::randn([rows, d], &mut rng);
-        let mut w = oodgnn_core::GraphWeights::uniform(rows);
-        let mut opt = Adam::new(0.05);
-        let reps = 10;
-        // One lift per batch, then `reps` weight steps, as the trainer runs.
-        let t = time_it(|| {
-            let ctx = DecorrelationCtx::new(d, &DecorrelationKind::Rff { q: 1 }, &mut rng);
-            let lifted = ctx.lift(&z);
-            for _ in 0..reps {
-                let (_, grad) = w.objective_and_grad(&lifted, &[], 0.0);
-                opt.update(w.param_mut(), &grad);
-                w.project();
-            }
-        });
-        println!("| {rows} | {:.2} |", 1000.0 * t / reps as f32);
+        let z = Tensor::randn([rows, 64], &mut rng);
+        println!("| {rows} | {:.2} |", step_ms(&z, &[], &mut rng));
     }
 
     println!("\n## (c) weight-optimization step vs. representation dim d (expect ~quadratic)\n");
@@ -85,23 +91,25 @@ fn main() {
     println!("|---|---|");
     for d in [16usize, 32, 64, 128] {
         let mut rng = Rng::seed_from(2);
-        let rows = 128;
-        let z = Tensor::randn([rows, d], &mut rng);
-        let mut w = oodgnn_core::GraphWeights::uniform(rows);
-        let mut opt = Adam::new(0.05);
-        let reps = 10;
-        // One lift per batch, then `reps` weight steps, as the trainer runs.
-        let t = time_it(|| {
-            let ctx = DecorrelationCtx::new(d, &DecorrelationKind::Rff { q: 1 }, &mut rng);
-            let lifted = ctx.lift(&z);
-            for _ in 0..reps {
-                let (_, grad) = w.objective_and_grad(&lifted, &[], 0.0);
-                opt.update(w.param_mut(), &grad);
-                w.project();
-            }
-        });
-        println!("| {d} | {:.2} |", 1000.0 * t / reps as f32);
+        let z = Tensor::randn([128, d], &mut rng);
+        println!("| {d} | {:.2} |", step_ms(&z, &[], &mut rng));
     }
-    println!("\nExpected shape (paper): OOD-GNN's per-epoch cost stays within a small constant factor of GIN's and scales linearly with dataset and batch size, quadratically with d.");
+
+    println!("\n## (d) weight step vs. K global groups (expect linear)\n");
+    println!("| K | rows (K+1)|B| | time per inner step (ms) |");
+    println!("|---|---|---|");
+    for k in [1usize, 2, 4, 8] {
+        let (b, d) = (64, 32);
+        let mut rng = Rng::seed_from(3);
+        let mut mem = GlobalMemory::with_uniform_gamma(k, b, d, 0.9);
+        let z = Tensor::randn([b, d], &mut rng);
+        let ones = Tensor::ones([b]);
+        mem.update(&z, &ones).expect("aligned memory");
+        // Eq. 8: the memory's K groups stacked over the batch.
+        let (z_hat, w_hat) = mem.concat(&z, &ones).expect("aligned memory");
+        let ms = step_ms(&z_hat, &w_hat.data()[..k * b], &mut rng);
+        println!("| {k} | {} | {ms:.2} |", (k + 1) * b);
+    }
+    println!("\nExpected shape (paper): OOD-GNN's per-epoch cost stays within a small constant factor of GIN's and scales linearly with dataset size, batch size and K, quadratically with d.");
     bench::telemetry::finish(&telemetry);
 }

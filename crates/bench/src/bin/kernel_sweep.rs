@@ -1,8 +1,10 @@
 //! Kernel-family timing report for the vectorized tensor layer: times
-//! each hot kernel body and records its median wall time and an FNV-1a
-//! digest of its output bits. The digests are a function of the fixed
-//! float schedule only, so they match across machines, thread counts and
-//! pool settings; a changed digest means a kernel's arithmetic changed.
+//! each hot kernel body at `OOD_THREADS` 1, 2 and 4 and records its
+//! median wall time per thread count and an FNV-1a digest of its output
+//! bits. The digests are a function of the fixed float schedule only, so
+//! they match across machines, thread counts and pool settings. A changed
+//! digest means a kernel's arithmetic changed; one that differs between
+//! thread counts fails the run (exit 1).
 //!
 //! Usage: `cargo run -p bench --release --bin kernel_sweep`
 //! (`OOD_BENCH_FAST=1` shrinks the measurement budget for smoke runs.)
@@ -13,14 +15,18 @@
 //! `--json <path>`, disable with `--json -`) in the shared
 //! `bench::perf::MetricFile` format.
 
-use bench::{fmt_ns, Harness};
+use bench::harness::{fmt_ns, median_ns};
+use oodgnn_core::{DecorrelationCtx, DecorrelationKind, GraphWeights};
 use std::rc::Rc;
 use tensor::csr::CsrIndex;
 use tensor::fnv::Fnv1a;
 use tensor::ops::{batch_norm, BatchNormStats};
 use tensor::rng::Rng;
 use tensor::shape::reduce_grad_to;
-use tensor::{Shape, Tape, Tensor};
+use tensor::{par, Shape, Tape, Tensor};
+
+/// Thread counts every kernel runs at.
+const THREADS: [usize; 3] = [1, 2, 4];
 
 /// One timed kernel: a name and a closure producing the full output
 /// buffer.
@@ -259,45 +265,108 @@ fn cases() -> Vec<Case> {
         });
     }
 
+    // Per-push tape overhead: 100 tiny nodes, so the arena append and the
+    // always-on profiling atomics dominate — the bound on the hooks' cost.
+    {
+        let x = Tensor::from_vec(vec![1.0; 8], [8]);
+        v.push(Case {
+            name: "tape_small_ops",
+            run: Box::new(move || {
+                let mut tape = Tape::new();
+                let mut node = tape.leaf(x.clone());
+                for _ in 0..100 {
+                    node = tape.add_scalar(node, 1.0);
+                }
+                tape.value(node).data().to_vec()
+            }),
+        });
+    }
+
+    // One step of Algorithm 1's inner loop as the trainer runs it: lift
+    // the RFF features of a batch once, then the hand-written penalty,
+    // ℓ² term and gradient.
+    {
+        let mut rng = Rng::seed_from(16);
+        let z = Tensor::randn([512, 64], &mut rng);
+        let ctx = DecorrelationCtx::new(64, &DecorrelationKind::Rff { q: 1 }, &mut rng);
+        let w = GraphWeights::uniform(512);
+        v.push(Case {
+            name: "reweight_step_512x64",
+            run: Box::new(move || {
+                let (value, grad) = w.objective_and_grad(&ctx.lift(&z), &[], 0.1);
+                let mut out = grad.into_vec();
+                out.push(value);
+                out
+            }),
+        });
+    }
+
     v
 }
 
 fn main() {
     let json_out = bench::Args::from_env().get_str("json", "results/kernel_sweep.json");
     let jsonl = bench::telemetry::init("kernel_sweep", 0);
+    let hardware = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
 
     println!("# Kernel sweep: per-kernel timing and output digests\n");
     println!(
-        "Median wall time of each vectorized kernel body, and the FNV-1a \
-         digest of its output bits. Digests depend only on the fixed float \
-         schedule, not on the host, `OOD_THREADS` or `OOD_POOL`.\n"
+        "Median wall time of each vectorized kernel body at each thread \
+         count on a {hardware}-core host, the speedup at t=4 over t=1, and \
+         the FNV-1a digest of its output bits. Digests depend only on the \
+         fixed float schedule, not on the host, `OOD_THREADS` or \
+         `OOD_POOL`; they must be bitwise-equal at every thread count.\n"
     );
-    println!("| kernel | median | digest |");
-    println!("|---|---|---|");
+    println!("| kernel | t=1 | t=2 | t=4 | speedup t=4 | digest |");
+    println!("|---|---|---|---|---|---|");
 
     let mut record = bench::MetricFile::new("kernel_sweep");
-    record.set_meta(
-        "hardware_cores",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .to_string(),
-    );
-    let mut h = Harness::new("kernel_sweep");
+    record.set_meta("hardware_cores", hardware.to_string());
+    let threads = par::current_threads();
+    let mut failures: Vec<String> = Vec::new();
     for Case { name, mut run } in cases() {
-        let d = format!("{:#018x}", digest(&run()));
-        h.bench(name, &mut run);
-        let median = h.median_ns(name).expect("bench just ran");
-        record.set(&format!("{name}_ns"), median);
+        let mut medians = Vec::with_capacity(THREADS.len());
+        let mut reference: Option<u64> = None;
+        for t in THREADS {
+            par::set_threads(t);
+            let d = digest(&run());
+            let r = *reference.get_or_insert(d);
+            if d != r {
+                failures.push(format!(
+                    "{name}: digest {d:#018x} at t={t} differs from {r:#018x} at t=1 \
+                     — determinism contract broken"
+                ));
+            }
+            let median = median_ns(&mut run);
+            record.set(&format!("{name}_t{t}_ns"), median);
+            medians.push(median);
+        }
+        let d = format!("{:#018x}", reference.expect("at least one thread count"));
+        let speedup = medians[0] / medians[medians.len() - 1];
+        record.set(&format!("{name}_speedup_t4"), speedup);
         record.set_meta(&format!("{name}_digest"), d.clone());
-        println!("| {name} | {} | `{d}` |", fmt_ns(median));
+        let cells: Vec<String> = medians.iter().map(|&m| fmt_ns(m)).collect();
+        println!("| {name} | {} | {speedup:.2}x | `{d}` |", cells.join(" | "));
     }
+    par::set_threads(threads);
 
+    record.set_meta("verdict", if failures.is_empty() { "pass" } else { "fail" });
     if json_out != "-" {
         match record.save(&json_out) {
             Ok(()) => eprintln!("kernel_sweep: wrote {json_out}"),
             Err(e) => eprintln!("kernel_sweep: cannot write {json_out}: {e}"),
         }
     }
+    if failures.is_empty() {
+        println!("\nAll digests bitwise-identical across thread counts.");
+    }
+    for f in &failures {
+        eprintln!("kernel_sweep: FAIL: {f}");
+    }
     bench::telemetry::finish(&jsonl);
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
 }

@@ -6,6 +6,13 @@
 //! tolerance bands. Any regression names the offending metric and exits
 //! non-zero, so CI catches perf drift the way tests catch logic drift.
 //!
+//! The gated run is followed by the same workload at every other config
+//! of `OOD_THREADS` {1,2,4} × pool {off,on}, each from a drained pool,
+//! inside one `matrix` span and gated by `bench::perf::matrix_failures`.
+//! Its table (wall, allocations, hit rate, bytes reused, speedup over
+//! t=1) goes to stdout and its numbers to the trajectory line under
+//! `matrix_*` keys, which no baseline gates.
+//!
 //! Usage:
 //!   cargo run -p bench --release --bin perf_gate            # gate
 //!   cargo run -p bench --release --bin perf_gate -- --update  # refresh baseline
@@ -25,9 +32,10 @@
 //! within bands. `OOD_BENCH_FAST=1` shrinks the workload — fast and full
 //! runs use distinct baseline files so the two never cross-compare.
 
-use bench::perf::{compare, Band, MetricFile};
+use bench::perf::{compare, matrix_failures, Band, ConfigRun, MetricFile};
 use bench::Args;
 use datasets::triangles::{generate, TrianglesConfig};
+use datasets::OodBenchmark;
 use gnn::models::ModelConfig;
 use gnn::trainer::TrainConfig;
 use oodgnn_core::{OodGnn, OodGnnConfig, OodGnnReport, TrainOptions};
@@ -38,6 +46,9 @@ use trace::{agg, names};
 
 const SEED: u64 = 17;
 const MODEL_SEED: u64 = 5;
+
+/// Thread counts of the matrix; each runs with the pool off and on.
+const MATRIX_THREADS: [usize; 3] = [1, 2, 4];
 
 /// Span-attribution coverage the analysis tier must reach on this run:
 /// root span totals within 5% of the measured workload wall time.
@@ -92,6 +103,31 @@ fn band_for(key: &str) -> Option<Band> {
     }
 }
 
+fn train(bench_data: &OodBenchmark, cfg: &OodGnnConfig) -> OodGnnReport {
+    let mut rng = Rng::seed_from(MODEL_SEED);
+    let mut model = OodGnn::new(
+        bench_data.dataset.feature_dim(),
+        bench_data.dataset.task(),
+        cfg.clone(),
+        &mut rng,
+    );
+    model
+        .train_run(bench_data, SEED, TrainOptions::default())
+        .expect("gate run completes")
+}
+
+/// Bitwise fingerprint of a training result.
+fn result_checksum(report: &OodGnnReport) -> u64 {
+    tensor::fnv::hash_f32_bits(
+        report
+            .loss_curve
+            .iter()
+            .chain(report.hsic_curve.iter())
+            .chain(report.final_weights.iter())
+            .copied(),
+    )
+}
+
 fn main() {
     let args = Args::from_env();
     let update = args.get_bool("update", false);
@@ -124,16 +160,7 @@ fn main() {
     let report: OodGnnReport;
     {
         let _run = trace::span!("run");
-        let mut rng = Rng::seed_from(MODEL_SEED);
-        let mut model = OodGnn::new(
-            bench_data.dataset.feature_dim(),
-            bench_data.dataset.task(),
-            cfg.clone(),
-            &mut rng,
-        );
-        report = model
-            .train_run(&bench_data, SEED, TrainOptions::default())
-            .expect("gate run completes");
+        report = train(&bench_data, &cfg);
         if inject_slow {
             // Synthetic regression: double the measured wall time and add
             // half a second, clearing both the multiplicative band and its
@@ -142,6 +169,8 @@ fn main() {
         }
     }
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    // The gated run's own pool counters, before any injected spike.
+    let gated_pool = pool::stats();
     // Everything after the workload (injection, analysis, baseline
     // comparison, report) runs inside one span so the recorded trace stays
     // attributable end to end for `trace_report --min-coverage`.
@@ -157,19 +186,12 @@ fn main() {
             let t = tensor::Tensor::zeros([64]);
             acc += t.data()[0];
         }
-        bench::black_box(acc);
+        std::hint::black_box(acc);
         pool::set_enabled(pooled);
     }
 
     let snap = tensor::profile::snapshot();
-    let checksum = tensor::fnv::hash_f32_bits(
-        report
-            .loss_curve
-            .iter()
-            .chain(report.hsic_curve.iter())
-            .chain(report.final_weights.iter())
-            .copied(),
-    );
+    let checksum = result_checksum(&report);
 
     // ---- attribution self-check: the span tree must account for the
     // measured wall time (tentpole acceptance: within 5%). ----
@@ -295,8 +317,76 @@ fn main() {
         }
     }
 
+    // ---- thread × pool matrix: the same workload at every other config ----
+    let record = |threads, pooled, checksum, s: &pool::PoolStats, wall_ms| ConfigRun {
+        threads,
+        pooled,
+        checksum,
+        hits: s.hits,
+        misses: s.misses,
+        allocations: s.allocations,
+        bytes_reused: s.bytes_reused,
+        wall_ms,
+    };
+    let pooled = pool::enabled();
+    let mut runs = vec![record(threads, pooled, checksum, &gated_pool, wall_ms)];
+    {
+        let _matrix = trace::span!("matrix");
+        for t in MATRIX_THREADS {
+            for on in [false, true] {
+                if (t, on) == (threads, pooled) {
+                    continue;
+                }
+                par::set_threads(t);
+                pool::set_enabled(on);
+                pool::drain_thread_pool();
+                pool::reset_stats();
+                let start = std::time::Instant::now();
+                let report = train(&bench_data, &cfg);
+                let wall = start.elapsed().as_secs_f64() * 1e3;
+                let sum = result_checksum(&report);
+                runs.push(record(t, on, sum, &pool::stats(), wall));
+            }
+        }
+        par::set_threads(threads);
+        pool::set_enabled(pooled);
+    }
+    failures.extend(matrix_failures(&runs));
+
+    println!("\n## Thread × pool matrix (first row: the gated run)\n");
+    println!("| config | wall | allocations | hit rate | bytes reused | speedup vs t=1 |");
+    println!("|---|---|---|---|---|---|");
+    for r in &runs {
+        let t1 = runs
+            .iter()
+            .find(|b| b.threads == 1 && b.pooled == r.pooled)
+            .map_or(r.wall_ms, |b| b.wall_ms);
+        println!(
+            "| {} | {:.0} ms | {} | {:.1}% | {:.1} MiB | {:.2}x |",
+            r.label(),
+            r.wall_ms,
+            r.allocations,
+            r.hit_rate() * 100.0,
+            r.bytes_reused as f64 / (1 << 20) as f64,
+            t1 / r.wall_ms,
+        );
+    }
+
     // Run-over-run history: every gate run appends one line, pass or fail.
     current.set("coverage", coverage);
+    let gated_metrics = current.metrics.len();
+    for r in &runs {
+        let key = format!(
+            "matrix_t{}_pool_{}",
+            r.threads,
+            if r.pooled { "on" } else { "off" }
+        );
+        current.set(&format!("{key}_wall_ms"), r.wall_ms);
+        current.set(&format!("{key}_allocations"), r.allocations as f64);
+        current.set(&format!("{key}_hits"), r.hits as f64);
+        current.set(&format!("{key}_misses"), r.misses as f64);
+        current.set(&format!("{key}_bytes_reused"), r.bytes_reused as f64);
+    }
     current.set_meta("verdict", if failures.is_empty() { "pass" } else { "fail" });
     if let Err(e) = current.append_to_trajectory("results/BENCH_trajectory.jsonl") {
         eprintln!("perf_gate: cannot append trajectory: {e}");
@@ -314,8 +404,8 @@ fn main() {
     println!();
     if failures.is_empty() {
         println!(
-            "PERF GATE PASS ({} metrics within tolerance).",
-            current.metrics.len()
+            "PERF GATE PASS ({gated_metrics} metrics within tolerance, {} matrix configs agree).",
+            runs.len()
         );
     } else {
         for f in &failures {

@@ -1,149 +1,41 @@
-//! In-repo micro-benchmark harness: warmup, timed batches, and
-//! median/mean-per-iteration reporting through the telemetry stream.
-//!
-//! Replaces the external criterion dependency with the subset this
-//! workspace needs: `cargo bench` runs each `[[bench]]` target's `main`,
-//! which drives a [`Harness`]. Results go to stderr via the console sink
-//! and, when requested, to a JSONL file under `results/telemetry/` for
-//! machine-readable comparison between runs.
+//! The micro-benchmark timing loop behind `kernel_sweep`: a warmup, then
+//! timed batches of calls, reported as the median nanoseconds per call.
+//! `OOD_BENCH_FAST=1` shrinks the budgets for smoke runs.
 
-use std::hint::black_box as std_black_box;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Re-export of [`std::hint::black_box`] under the name bench code expects.
-pub fn black_box<T>(x: T) -> T {
-    std_black_box(x)
-}
-
-/// One benchmark group: named timings sharing a warmup/measurement budget.
-pub struct Harness {
-    suite: String,
-    warmup: Duration,
-    measure: Duration,
-    /// Collected `(name, stats)` pairs, reported again as a summary table.
-    results: Vec<(String, IterStats)>,
-}
-
-/// Per-iteration timing statistics in nanoseconds.
-#[derive(Debug, Clone, Copy)]
-pub struct IterStats {
-    /// Number of timed iterations.
-    pub iters: u64,
-    /// Mean nanoseconds per iteration.
-    pub mean_ns: f64,
-    /// Median nanoseconds per iteration (over timed batches).
-    pub median_ns: f64,
-    /// Fastest batch, nanoseconds per iteration.
-    pub min_ns: f64,
-}
-
-impl Harness {
-    /// A harness for the named suite with default budgets (100ms warmup,
-    /// 500ms measurement per benchmark). `OOD_BENCH_FAST=1` shrinks both
-    /// for smoke runs.
-    pub fn new(suite: &str) -> Self {
-        let fast = std::env::var("OOD_BENCH_FAST").is_ok_and(|v| v != "0");
-        let (warmup, measure) = if fast {
-            (Duration::from_millis(10), Duration::from_millis(50))
-        } else {
-            (Duration::from_millis(100), Duration::from_millis(500))
-        };
-        Harness {
-            suite: suite.to_string(),
-            warmup,
-            measure,
-            results: Vec::new(),
-        }
+/// Median nanoseconds per call of `f` (one workload iteration per call),
+/// over timed batches sized from a warmup to give ~10 batches in the
+/// measurement budget (100 ms warmup + 500 ms, or 10 + 50 ms when
+/// `OOD_BENCH_FAST` is set).
+pub fn median_ns<R>(mut f: impl FnMut() -> R) -> f64 {
+    let fast = std::env::var("OOD_BENCH_FAST").is_ok_and(|v| v != "0");
+    let (warmup, measure) = if fast {
+        (Duration::from_millis(10), Duration::from_millis(50))
+    } else {
+        (Duration::from_millis(100), Duration::from_millis(500))
+    };
+    let warm_start = Instant::now();
+    let mut warm_iters = 0u64;
+    while warm_start.elapsed() < warmup || warm_iters == 0 {
+        black_box(f());
+        warm_iters += 1;
     }
+    let per_iter = warm_start.elapsed().as_secs_f64() / warm_iters as f64;
+    let batch = ((measure.as_secs_f64() / 10.0 / per_iter).ceil() as u64).max(1);
 
-    /// Time `f`, which performs ONE iteration of the workload per call.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
-        // Warmup: run until the budget elapses, and derive a batch size
-        // targeting ~10 batches over the measurement budget.
-        let warm_start = Instant::now();
-        let mut warm_iters = 0u64;
-        while warm_start.elapsed() < self.warmup || warm_iters == 0 {
-            std_black_box(f());
-            warm_iters += 1;
+    let mut batches: Vec<f64> = Vec::new(); // ns per iteration, per batch
+    let run_start = Instant::now();
+    while run_start.elapsed() < measure || batches.len() < 3 {
+        let t0 = Instant::now();
+        for _ in 0..batch {
+            black_box(f());
         }
-        let per_iter = warm_start.elapsed().as_secs_f64() / warm_iters as f64;
-        let batch = ((self.measure.as_secs_f64() / 10.0 / per_iter).ceil() as u64).max(1);
-
-        // Measurement: timed batches until the budget elapses.
-        let mut batches: Vec<f64> = Vec::new(); // ns per iteration, per batch
-        let mut total_iters = 0u64;
-        let run_start = Instant::now();
-        while run_start.elapsed() < self.measure || batches.len() < 3 {
-            let t0 = Instant::now();
-            for _ in 0..batch {
-                std_black_box(f());
-            }
-            let ns = t0.elapsed().as_nanos() as f64 / batch as f64;
-            batches.push(ns);
-            total_iters += batch;
-        }
-        batches.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let mean_ns = batches.iter().sum::<f64>() / batches.len() as f64;
-        let stats = IterStats {
-            iters: total_iters,
-            mean_ns,
-            median_ns: batches[batches.len() / 2],
-            min_ns: batches[0],
-        };
-        self.report(name, &stats);
-        self.results.push((name.to_string(), stats));
+        batches.push(t0.elapsed().as_nanos() as f64 / batch as f64);
     }
-
-    fn report(&self, name: &str, s: &IterStats) {
-        eprintln!(
-            "bench {suite}/{name}: {median} median, {mean} mean ({iters} iters)",
-            suite = self.suite,
-            median = fmt_ns(s.median_ns),
-            mean = fmt_ns(s.mean_ns),
-            iters = s.iters,
-        );
-        if trace::enabled() {
-            trace::emit_event(
-                "bench",
-                &[
-                    ("suite", self.suite.as_str().into()),
-                    // "bench", not "name": the event itself already has a
-                    // `name` key ("bench") in the JSONL encoding.
-                    ("bench", name.into()),
-                    ("iters", (s.iters as i64).into()),
-                    ("mean_ns", s.mean_ns.into()),
-                    ("median_ns", s.median_ns.into()),
-                    ("min_ns", s.min_ns.into()),
-                ],
-            );
-        }
-    }
-
-    /// Stats recorded so far, in execution order.
-    pub fn results(&self) -> &[(String, IterStats)] {
-        &self.results
-    }
-
-    /// Median ns/iter for a recorded benchmark, if it ran.
-    pub fn median_ns(&self, name: &str) -> Option<f64> {
-        self.results
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| s.median_ns)
-    }
-
-    /// Print a closing summary table to stderr.
-    pub fn finish(self) {
-        if self.results.is_empty() {
-            return;
-        }
-        eprintln!("\n== {} ==", self.suite);
-        let width = self.results.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        for (name, s) in &self.results {
-            eprintln!("  {name:width$}  {:>12} median", fmt_ns(s.median_ns));
-        }
-        trace::flush_sinks();
-    }
+    batches.sort_by(f64::total_cmp);
+    batches[batches.len() / 2]
 }
 
 /// Human-readable nanoseconds.
@@ -166,18 +58,13 @@ mod tests {
     #[test]
     fn harness_measures_a_trivial_closure() {
         std::env::set_var("OOD_BENCH_FAST", "1");
-        let mut h = Harness::new("test");
-        let mut acc = 0u64;
-        h.bench("noop", || {
-            acc = acc.wrapping_add(1);
-            acc
+        let mut calls = 0u64;
+        let ns = median_ns(|| {
+            calls = calls.wrapping_add(1);
+            calls
         });
-        let s = h.results()[0].1;
-        assert!(s.iters > 0);
-        assert!(s.mean_ns > 0.0);
-        assert!(s.min_ns <= s.median_ns);
-        assert!(h.median_ns("noop").is_some());
-        assert!(h.median_ns("missing").is_none());
+        assert!(calls > 0);
+        assert!(ns.is_finite() && ns >= 0.0);
     }
 
     #[test]

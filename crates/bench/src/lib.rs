@@ -13,6 +13,5 @@ pub mod runner;
 pub mod telemetry;
 
 pub use args::Args;
-pub use harness::{black_box, fmt_ns, Harness};
 pub use perf::MetricFile;
 pub use runner::{fmt_cell, run_method, MethodSpec, RunOutcome, SuiteConfig};

@@ -1,9 +1,10 @@
 //! Machine-readable performance records: one flat JSON object per file,
 //! string values for metadata (tool, git revision, checksums) and numeric
 //! values for metrics. `perf_gate` compares these against committed
-//! baselines under `results/baselines/`, and `threads_sweep` / `mem_sweep`
-//! emit the same format next to their markdown tables so every perf
-//! artifact in `results/` is diffable by the same tooling.
+//! baselines under `results/baselines/`, and `kernel_sweep` emits the
+//! same format next to its markdown table so every perf artifact in
+//! `results/` is diffable by the same tooling. [`matrix_failures`] holds
+//! the gates `perf_gate` applies across its thread × pool matrix.
 //!
 //! The encoding reuses the trace crate's JSON writer/parser (flat objects
 //! only), so no new serialization surface is introduced. Files are
@@ -238,6 +239,98 @@ pub fn compare(
     (regressions, improvements)
 }
 
+/// One training run of `perf_gate`'s thread × pool matrix: its
+/// configuration, the checksum of its result, its pool counters and its
+/// wall time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ConfigRun {
+    /// `OOD_THREADS` for the run.
+    pub threads: usize,
+    /// Whether the buffer pool was on.
+    pub pooled: bool,
+    /// FNV-1a checksum of the loss curve, HSIC curve and final weights.
+    pub checksum: u64,
+    /// Allocations served from a recycled buffer.
+    pub hits: u64,
+    /// Pooled requests that found no buffer.
+    pub misses: u64,
+    /// Fresh heap allocations.
+    pub allocations: u64,
+    /// Bytes served from recycled buffers.
+    pub bytes_reused: u64,
+    /// Wall time of the run in milliseconds.
+    pub wall_ms: f64,
+}
+
+impl ConfigRun {
+    /// `"pool on / t=2"`-style label used in tables and failure messages.
+    pub fn label(&self) -> String {
+        let pool = if self.pooled { "pool on" } else { "pool off" };
+        format!("{pool} / t={}", self.threads)
+    }
+
+    /// Share of pooled requests served from a recycled buffer (0 when
+    /// there were none).
+    pub fn hit_rate(&self) -> f64 {
+        self.hits as f64 / (self.hits + self.misses).max(1) as f64
+    }
+}
+
+/// Smallest pool hit rate a pooled matrix run may have.
+pub const MIN_HIT_RATE: f64 = 0.5;
+
+/// The matrix gates over `runs`, whose first entry is the gated run:
+/// every checksum equals the first one (the determinism contract across
+/// thread counts and pool settings), and at each thread count with both
+/// pool settings the pooled run serves recycled buffers (`hits > 0`, hit
+/// rate at least [`MIN_HIT_RATE`]) and makes strictly fewer fresh
+/// allocations than the unpooled one. Returns one message per failure.
+pub fn matrix_failures(runs: &[ConfigRun]) -> Vec<String> {
+    let mut failures = Vec::new();
+    let Some(reference) = runs.first() else {
+        return failures;
+    };
+    for r in &runs[1..] {
+        if r.checksum != reference.checksum {
+            failures.push(format!(
+                "{}: checksum {:#018x} differs from {}'s {:#018x} — determinism contract broken",
+                r.label(),
+                r.checksum,
+                reference.label(),
+                reference.checksum
+            ));
+        }
+    }
+    for on in runs.iter().filter(|r| r.pooled) {
+        let Some(off) = runs.iter().find(|r| !r.pooled && r.threads == on.threads) else {
+            continue;
+        };
+        if on.hits == 0 {
+            failures.push(format!(
+                "{}: pool never served a recycled buffer",
+                on.label()
+            ));
+        }
+        if on.allocations >= off.allocations {
+            failures.push(format!(
+                "{}: {} fresh allocations with the pool vs {} without — no reduction",
+                on.label(),
+                on.allocations,
+                off.allocations
+            ));
+        }
+        if on.hit_rate() < MIN_HIT_RATE {
+            failures.push(format!(
+                "{}: hit rate {:.1}% < {:.0}%",
+                on.label(),
+                on.hit_rate() * 100.0,
+                MIN_HIT_RATE * 100.0
+            ));
+        }
+    }
+    failures
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,5 +418,52 @@ mod tests {
         let first = MetricFile::from_json(lines[0]).unwrap();
         assert_eq!(first.get("wall_ms"), Some(5.0));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn matrix_gates_pass_a_healthy_matrix_and_name_each_failure() {
+        let mut healthy = Vec::new();
+        for threads in [1, 2, 4] {
+            for pooled in [true, false] {
+                healthy.push(ConfigRun {
+                    threads,
+                    pooled,
+                    checksum: 0x620a_6ab3_7774_1f01,
+                    hits: if pooled { 987 } else { 0 },
+                    misses: if pooled { 13 } else { 0 },
+                    allocations: if pooled { 257 } else { 19_520 },
+                    bytes_reused: 0,
+                    wall_ms: 1.0,
+                });
+            }
+        }
+        assert_eq!(matrix_failures(&healthy), Vec::<String>::new());
+        type Break = fn(&mut [ConfigRun]);
+        let breaks: [(Break, &str); 4] = [
+            (
+                |r| r[3].checksum ^= 1,
+                "pool off / t=2: checksum 0x620a6ab377741f00 differs from pool on / t=1's \
+                 0x620a6ab377741f01 — determinism contract broken",
+            ),
+            (
+                |r| r[2].hits = 0,
+                "pool on / t=2: pool never served a recycled buffer",
+            ),
+            (
+                |r| r[4].allocations = r[5].allocations,
+                "pool on / t=4: 19520 fresh allocations with the pool vs 19520 without \
+                 — no reduction",
+            ),
+            (
+                |r| (r[0].hits, r[0].misses) = (49, 51),
+                "pool on / t=1: hit rate 49.0% < 50%",
+            ),
+        ];
+        for (brk, expected) in breaks {
+            let mut runs = healthy.clone();
+            brk(&mut runs);
+            let failures = matrix_failures(&runs);
+            assert!(failures.iter().any(|f| f == expected), "{failures:?}");
+        }
     }
 }

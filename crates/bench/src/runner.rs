@@ -195,6 +195,10 @@ pub fn run_method(
             }
         }
     };
+    // The next run trains a different model on different shapes: free
+    // this run's buffers instead of carrying them to the retention cap.
+    // Bitwise-neutral by the pool's contract.
+    tensor::pool::drain_thread_pool();
     if trace::enabled() {
         trace::emit_event(
             "run",

@@ -5,7 +5,7 @@
 //! Two folds share the offset basis and prime. [`Fnv1a::write`] is the
 //! standard byte-at-a-time FNV-1a. [`Fnv1a::write_word`] xors a whole
 //! `u64` in before a single multiply: the form every committed float
-//! digest (`perf_gate` checksums, `mem_sweep`, `serve_drill`) was
+//! digest (`perf_gate` checksums, `serve_drill`) was
 //! recorded with, so its definition is frozen.
 
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;

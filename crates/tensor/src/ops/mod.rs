@@ -89,8 +89,6 @@ pub enum Op {
     Cos(NodeId),
     /// Element-wise exponential.
     Exp(NodeId),
-    /// Element-wise natural log.
-    Log(NodeId),
     /// Element-wise square root.
     Sqrt(NodeId),
     /// Numerically stable `log(1 + e^x)`.
@@ -109,8 +107,6 @@ pub enum Op {
     ConcatRows(Rc<Vec<NodeId>>),
     /// Horizontal concatenation of matrices (equal row counts).
     ConcatCols(Rc<Vec<NodeId>>),
-    /// Contiguous row slice `[start, start+len)` of a matrix.
-    SliceRows(NodeId, usize, usize),
     /// Row gather: `out[i] = in[idx[i]]`.
     IndexSelect(NodeId, Rc<Vec<usize>>),
     /// Row scatter-add: `out[idx[i]] += in[i]` into `num_rows` rows.
@@ -167,7 +163,6 @@ impl Op {
             | Op::Tanh(a)
             | Op::Cos(a)
             | Op::Exp(a)
-            | Op::Log(a)
             | Op::Sqrt(a)
             | Op::Softplus(a)
             | Op::Sum(a)
@@ -175,7 +170,6 @@ impl Op {
             | Op::SumAxis(a, _)
             | Op::MeanAxis(a, _)
             | Op::Reshape(a, _)
-            | Op::SliceRows(a, _, _)
             | Op::IndexSelect(a, _)
             | Op::ScatterAddRows(a, _, _)
             | Op::NeighborSum(a, _, _, _)
@@ -210,7 +204,6 @@ impl Op {
             Op::Tanh(a) => v(a).map(f32::tanh),
             Op::Cos(a) => v(a).map(f32::cos),
             Op::Exp(a) => v(a).map(f32::exp),
-            Op::Log(a) => v(a).map(f32::ln),
             Op::Sqrt(a) => v(a).map(f32::sqrt),
             Op::Softplus(a) => v(a).map(softplus),
             Op::Sum(a) => Tensor::scalar(v(a).sum()),
@@ -231,17 +224,6 @@ impl Op {
             }
             Op::ConcatCols(xs) => {
                 concat_cols(&xs.iter().map(|id| tape.value(*id)).collect::<Vec<_>>())
-            }
-            Op::SliceRows(a, start, len) => {
-                let x = v(a);
-                let (r, c) = x.shape().as_matrix();
-                assert!(
-                    start + len <= r,
-                    "slice_rows [{start},{}) out of {r}",
-                    start + len
-                );
-                let data = x.data()[start * c..(start + len) * c].to_vec();
-                Tensor::from_vec(data, [*len, c])
             }
             Op::IndexSelect(a, idx) => v(a).index_select_rows(idx),
             Op::ScatterAddRows(a, idx, n) => v(a).scatter_add_rows_csr(&csr::cached(idx, *n)),
@@ -346,10 +328,6 @@ impl Op {
                 let g = grad.zip_broadcast(value, |g, y| g * y);
                 vec![(*a, g)]
             }
-            Op::Log(a) => {
-                let g = grad.zip_broadcast(v(a), |g, x| g / x);
-                vec![(*a, g)]
-            }
             Op::Sqrt(a) => {
                 let g = grad.zip_broadcast(value, |g, y| g / (2.0 * y));
                 vec![(*a, g)]
@@ -406,13 +384,6 @@ impl Op {
                     col += c;
                 }
                 out
-            }
-            Op::SliceRows(a, start, len) => {
-                let x = v(a);
-                let (r, c) = x.shape().as_matrix();
-                let mut g = Tensor::zeros([r, c]);
-                g.data_mut()[start * c..(start + len) * c].copy_from_slice(grad.data());
-                vec![(*a, g)]
             }
             Op::IndexSelect(a, idx) => {
                 let n = v(a).nrows();
@@ -986,11 +957,6 @@ impl Tape {
         self.record(Op::Exp(a))
     }
 
-    /// Element-wise natural logarithm.
-    pub fn log(&mut self, a: NodeId) -> NodeId {
-        self.record(Op::Log(a))
-    }
-
     /// Element-wise square root.
     pub fn sqrt(&mut self, a: NodeId) -> NodeId {
         self.record(Op::Sqrt(a))
@@ -1042,11 +1008,6 @@ impl Tape {
     pub fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
         assert!(!parts.is_empty());
         self.record(Op::ConcatCols(Rc::new(parts.to_vec())))
-    }
-
-    /// Contiguous row slice `[start, start+len)`.
-    pub fn slice_rows(&mut self, a: NodeId, start: usize, len: usize) -> NodeId {
-        self.record(Op::SliceRows(a, start, len))
     }
 
     /// Row gather by index list.
@@ -1130,12 +1091,6 @@ impl Tape {
     pub fn log_softmax(&mut self, a: NodeId) -> NodeId {
         assert!(self.shape(a).is_matrix(), "log_softmax expects a matrix");
         self.record(Op::LogSoftmax(a))
-    }
-
-    /// Row-wise softmax (via `exp(log_softmax)` for numerical stability).
-    pub fn softmax(&mut self, a: NodeId) -> NodeId {
-        let ls = self.log_softmax(a);
-        self.exp(ls)
     }
 
     /// Fused weighted centering `w ⊙ x − colmean(w ⊙ x)` for `x: [n,d]`
@@ -1345,17 +1300,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_rows_grad_zero_pads() {
-        let mut tp = Tape::new();
-        let x = tp.leaf(t(vec![1., 2., 3., 4., 5., 6.], [3, 2]));
-        let sl = tp.slice_rows(x, 1, 1);
-        assert_eq!(tp.value(sl).data(), &[3., 4.]);
-        let s = tp.sum(sl);
-        let g = tp.backward(s);
-        assert_eq!(g.get(x).unwrap().data(), &[0., 0., 1., 1., 0., 0.]);
-    }
-
-    #[test]
     fn index_select_grad_scatters() {
         let mut tp = Tape::new();
         let x = tp.leaf(t(vec![1., 2., 3., 4.], [2, 2]));
@@ -1473,15 +1417,6 @@ mod tests {
         let sum = tp.sum(ls);
         let g = tp.backward(sum);
         assert!(!g.get(x).unwrap().has_non_finite());
-    }
-
-    #[test]
-    fn softmax_matches_exp_log_softmax() {
-        let mut tp = Tape::new();
-        let x = tp.leaf(t(vec![1., 2., 3.], [1, 3]));
-        let sm = tp.softmax(x);
-        let total: f32 = tp.value(sm).data().iter().sum();
-        assert!((total - 1.0).abs() < 1e-5);
     }
 
     #[test]

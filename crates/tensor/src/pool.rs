@@ -27,8 +27,8 @@
 //!   buffers the last unit did not recycle.
 //!
 //! The pool is on by default; `OOD_POOL=0` disables it at startup and
-//! [`set_enabled`] toggles it at runtime (the `mem_sweep` bench uses this
-//! to measure on/off deltas in one process). Hit/miss/bytes-reused
+//! [`set_enabled`] toggles it at runtime (`perf_gate`'s thread × pool
+//! matrix uses this to measure on/off deltas in one process). Hit/miss/bytes-reused
 //! counters are global relaxed atomics surfaced through
 //! [`crate::profile::snapshot`] and the `tensor_memory` telemetry event.
 
@@ -74,8 +74,8 @@ pub struct PoolStats {
     /// the pool was enabled.
     pub misses: u64,
     /// Fresh heap allocations made through the pool API (misses while
-    /// enabled plus every request while disabled) — the `mem_sweep`
-    /// "allocations/step" numerator.
+    /// enabled plus every request while disabled) — the `allocations`
+    /// column of `perf_gate`'s thread × pool matrix.
     pub allocations: u64,
     /// Buffers accepted back into the pool.
     pub returns: u64,

@@ -14,7 +14,7 @@ use crate::ops::Op;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of [`Op`] kinds tracked (one counter per enum variant).
-pub const N_OPS: usize = 38;
+pub const N_OPS: usize = 36;
 
 /// Display names, indexed like the per-op counters.
 pub const OP_NAMES: [&str; N_OPS] = [
@@ -34,7 +34,6 @@ pub const OP_NAMES: [&str; N_OPS] = [
     "tanh",
     "cos",
     "exp",
-    "log",
     "sqrt",
     "softplus",
     "sum",
@@ -44,7 +43,6 @@ pub const OP_NAMES: [&str; N_OPS] = [
     "reshape",
     "concat_rows",
     "concat_cols",
-    "slice_rows",
     "index_select",
     "scatter_add_rows",
     "segment_max",
@@ -76,28 +74,26 @@ pub(crate) fn op_kind(op: &Op) -> usize {
         Op::Tanh(..) => 13,
         Op::Cos(..) => 14,
         Op::Exp(..) => 15,
-        Op::Log(..) => 16,
-        Op::Sqrt(..) => 17,
-        Op::Softplus(..) => 18,
-        Op::Sum(..) => 19,
-        Op::Mean(..) => 20,
-        Op::SumAxis(..) => 21,
-        Op::MeanAxis(..) => 22,
-        Op::Reshape(..) => 23,
-        Op::ConcatRows(..) => 24,
-        Op::ConcatCols(..) => 25,
-        Op::SliceRows(..) => 26,
-        Op::IndexSelect(..) => 27,
-        Op::ScatterAddRows(..) => 28,
-        Op::SegmentMax(..) => 29,
-        Op::SegmentMin(..) => 30,
-        Op::LogSoftmax(..) => 31,
-        Op::WeightedCenter(..) => 32,
-        Op::ScaledMaskedSqSum(..) => 33,
-        Op::CosFeature(..) => 34,
-        Op::NeighborSum(..) => 35,
-        Op::Linear(..) => 36,
-        Op::BatchNorm(..) => 37,
+        Op::Sqrt(..) => 16,
+        Op::Softplus(..) => 17,
+        Op::Sum(..) => 18,
+        Op::Mean(..) => 19,
+        Op::SumAxis(..) => 20,
+        Op::MeanAxis(..) => 21,
+        Op::Reshape(..) => 22,
+        Op::ConcatRows(..) => 23,
+        Op::ConcatCols(..) => 24,
+        Op::IndexSelect(..) => 25,
+        Op::ScatterAddRows(..) => 26,
+        Op::SegmentMax(..) => 27,
+        Op::SegmentMin(..) => 28,
+        Op::LogSoftmax(..) => 29,
+        Op::WeightedCenter(..) => 30,
+        Op::ScaledMaskedSqSum(..) => 31,
+        Op::CosFeature(..) => 32,
+        Op::NeighborSum(..) => 33,
+        Op::Linear(..) => 34,
+        Op::BatchNorm(..) => 35,
     }
 }
 

@@ -68,20 +68,22 @@ else
     status=1
 fi
 
-# Smoke runs pass `--json -` so the fast numbers do not overwrite the
-# committed full-run artifacts (results/threads_sweep.json, mem_sweep.json).
-echo "== threads sweep smoke (bitwise determinism across thread counts)"
-OOD_BENCH_FAST=1 cargo run -p bench --release --bin threads_sweep -- --json - >/dev/null || status=1
-
-echo "== memory sweep smoke (pool neutrality + allocation reduction)"
-OOD_BENCH_FAST=1 cargo run -p bench --release --bin mem_sweep -- --json - >/dev/null || status=1
-
-echo "== kernel sweep smoke (per-kernel timing and output digests)"
+# The smoke run passes `--json -` so the fast numbers do not overwrite
+# the committed full-run artifact (results/kernel_sweep.json).
+echo "== kernel sweep smoke (per-kernel timing, output digests equal at t=1/2/4)"
 OOD_BENCH_FAST=1 cargo run -p bench --release --bin kernel_sweep -- --json - >/dev/null || status=1
 
-echo "== perf gate (baseline regression check at t=1 and t=4)"
+echo "== perf gate (baseline regression check, then the thread x pool matrix, at t=1 and t=4)"
 OOD_BENCH_FAST=1 OOD_THREADS=1 cargo run -p bench --release --bin perf_gate -- --tolerance 2 >/dev/null || status=1
 OOD_BENCH_FAST=1 OOD_THREADS=4 cargo run -p bench --release --bin perf_gate -- --tolerance 2 >/dev/null || status=1
+gate_trace=$(ls -t results/telemetry/perf_gate-*.jsonl 2>/dev/null | head -1 || true)
+if [ -n "$gate_trace" ]; then
+    grep -q '"name":"tensor_memory"' "$gate_trace" || status=1
+    grep -q '"name":"run_manifest"' "$gate_trace" || status=1
+else
+    echo "perf_gate: no recorded trace found" >&2
+    status=1
+fi
 
 echo "== perf gate self-test (injected allocation spike must be caught)"
 if OOD_BENCH_FAST=1 OOD_THREADS=1 cargo run -p bench --release --bin perf_gate -- --inject-alloc >/dev/null 2>&1; then
