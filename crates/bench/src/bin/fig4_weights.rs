@@ -72,15 +72,13 @@ fn main() {
             "## {name} — n={}, mean={mean:.3}, std={std:.3}, min={min:.3}, max={max:.3}",
             r.final_weights.len()
         );
-        if let Some(ws) = r.weight_stats {
-            println!(
-                "entropy={:.3} nats (uniform={:.3}), ESS={:.1}/{}",
-                ws.entropy,
-                (r.final_weights.len() as f32).ln(),
-                ws.ess,
-                r.final_weights.len()
-            );
-        }
+        println!(
+            "entropy={:.3} nats (uniform={:.3}), ESS={:.1}/{}",
+            r.weight_stats.entropy,
+            (r.final_weights.len() as f32).ln(),
+            r.weight_stats.ess,
+            r.final_weights.len()
+        );
         println!("{}", histogram(&r.final_weights, 12));
         assert!((mean - 1.0).abs() < 0.2, "projection keeps the mean near 1");
     }

@@ -9,8 +9,7 @@ use datasets::social::SocialConfig;
 use datasets::triangles::TrianglesConfig;
 use datasets::OodBenchmark;
 use gnn::models::{BaselineKind, GnnModel};
-use gnn::trainer::train_erm;
-use oodgnn_core::{DecorrelationKind, OodGnn};
+use oodgnn_core::{train_run, DecorrelationKind, OodGnn, TrainOptions};
 use tensor::rng::Rng;
 
 fn main() {
@@ -63,7 +62,15 @@ fn main() {
             &mc,
             &mut rng,
         );
-        let rb = train_erm(&mut gin, &bench, &suite.train_config(), base_seed + s);
+        let rb = train_run(
+            &mut gin,
+            None,
+            &bench,
+            &suite.train_config(),
+            base_seed + s,
+            TrainOptions::default(),
+        )
+        .expect("training failed");
         let mut cfg = suite.oodgnn_config();
         cfg.model.readout = readout;
         cfg.weight_lr = weight_lr;

@@ -14,4 +14,4 @@ pub mod telemetry;
 
 pub use args::Args;
 pub use perf::MetricFile;
-pub use runner::{fmt_cell, run_method, MethodSpec, RunOutcome, SuiteConfig};
+pub use runner::{fmt_cell, run_method, MethodSpec, SuiteConfig};

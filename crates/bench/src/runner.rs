@@ -4,14 +4,15 @@
 use datasets::metrics::mean_std;
 use datasets::OodBenchmark;
 use gnn::models::{BaselineKind, GnnModel, ModelConfig};
-use gnn::trainer::{train_erm, TrainConfig};
-use oodgnn_core::{DecorrelationKind, OodGnn, OodGnnConfig};
+use gnn::trainer::TrainConfig;
+use oodgnn_core::{train_run, DecorrelationKind, OodGnn, OodGnnConfig, TrainOptions, TrainReport};
 use tensor::rng::Rng;
 
 /// Which method a table row reports.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MethodSpec {
-    /// One of the eight baselines, trained by plain ERM.
+    /// One of the eight baselines, trained by plain ERM (the one training
+    /// loop without a reweighter).
     Baseline(BaselineKind),
     /// OOD-GNN with the default decorrelation (RFF, q=1).
     OodGnn,
@@ -129,51 +130,22 @@ impl SuiteConfig {
     }
 }
 
-/// Result of one training run.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// Train-split metric.
-    pub train_metric: f32,
-    /// Validation metric.
-    pub val_metric: f32,
-    /// OOD test metric.
-    pub test_metric: f32,
-    /// Per-epoch mean training loss.
-    pub loss_curve: Vec<f32>,
-    /// Final learned sample weights (OOD-GNN only; empty for baselines).
-    pub final_weights: Vec<f32>,
-    /// Per-epoch mean decorrelation penalty (OOD-GNN only; empty for
-    /// baselines).
-    pub hsic_curve: Vec<f32>,
-    /// Statistics of the final weights (OOD-GNN only).
-    pub weight_stats: Option<oodgnn_core::weights::WeightStats>,
-}
-
 /// Train one method on a benchmark with one seed.
 pub fn run_method(
     method: MethodSpec,
     bench: &OodBenchmark,
     suite: &SuiteConfig,
     seed: u64,
-) -> RunOutcome {
+) -> TrainReport {
     let _span = trace::span!("run_method");
     let in_dim = bench.dataset.feature_dim();
     let task = bench.dataset.task();
     let mut rng = Rng::seed_from(seed);
-    let outcome = match method {
-        MethodSpec::Baseline(kind) => {
-            let mut model = GnnModel::baseline(kind, in_dim, task, &suite.model_config(), &mut rng);
-            let r = train_erm(&mut model, bench, &suite.train_config(), seed ^ 0x5151);
-            RunOutcome {
-                train_metric: r.train_metric,
-                val_metric: r.val_metric,
-                test_metric: r.test_metric,
-                loss_curve: r.loss_curve,
-                final_weights: Vec::new(),
-                hsic_curve: Vec::new(),
-                weight_stats: None,
-            }
-        }
+    let (mut model, mut reweighter) = match method {
+        MethodSpec::Baseline(kind) => (
+            GnnModel::baseline(kind, in_dim, task, &suite.model_config(), &mut rng),
+            None,
+        ),
         _ => {
             let mut cfg = suite.oodgnn_config();
             match method {
@@ -182,19 +154,19 @@ pub fn run_method(
                 MethodSpec::OodGnnNoRff => cfg.decorrelation = DecorrelationKind::Linear,
                 _ => {}
             }
-            let mut model = OodGnn::new(in_dim, task, cfg, &mut rng);
-            let r = model.train(bench, seed ^ 0x5151).expect("training failed");
-            RunOutcome {
-                train_metric: r.train_metric,
-                val_metric: r.val_metric,
-                test_metric: r.test_metric,
-                loss_curve: r.loss_curve,
-                final_weights: r.final_weights,
-                hsic_curve: r.hsic_curve,
-                weight_stats: Some(r.weight_stats),
-            }
+            let (model, reweighter) = OodGnn::new(in_dim, task, cfg, &mut rng).into_parts();
+            (model, Some(reweighter))
         }
     };
+    let outcome = train_run(
+        &mut model,
+        reweighter.as_mut(),
+        bench,
+        &suite.train_config(),
+        seed ^ 0x5151,
+        TrainOptions::default(),
+    )
+    .expect("training failed");
     // The next run trains a different model on different shapes: free
     // this run's buffers instead of carrying them to the retention cap.
     // Bitwise-neutral by the pool's contract.

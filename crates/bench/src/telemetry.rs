@@ -23,8 +23,10 @@ pub const TELEMETRY_DIR: &str = "results/telemetry";
 /// Attach the standard sinks for an experiment binary and stamp the run
 /// context. Returns the JSONL path when file telemetry is active.
 ///
-/// The run id is `{bin}-s{seed}-{unix_secs}` so successive runs never
-/// clobber each other and `diff`ing two runs is a filename away.
+/// The run id is `{bin}-s{seed}-{unix_secs}-p{pid}`, so runs started in
+/// the same second by different processes get different files. The file
+/// is opened with `create_new`: should a name still collide, the run
+/// keeps console telemetry only and the existing trace stays intact.
 pub fn init(bin: &str, seed: u64) -> Option<PathBuf> {
     if std::env::var("OOD_TELEMETRY").is_ok_and(|v| v == "0") {
         return None;
@@ -37,12 +39,12 @@ pub fn init(bin: &str, seed: u64) -> Option<PathBuf> {
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let run_id = format!("{bin}-s{seed}-{secs}");
+    let run_id = format!("{bin}-s{seed}-{secs}-p{}", std::process::id());
     let dir = std::env::var("OOD_TELEMETRY_DIR").unwrap_or_else(|_| TELEMETRY_DIR.to_string());
     let path = PathBuf::from(dir).join(format!("{run_id}.jsonl"));
 
     trace::attach(Box::new(ConsoleSink::default()));
-    let jsonl = match JsonlSink::create(&path) {
+    let jsonl = match JsonlSink::create_new(&path) {
         Ok(sink) => {
             trace::attach(Box::new(sink));
             Some(path)

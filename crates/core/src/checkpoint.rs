@@ -1,14 +1,15 @@
-//! Full-training-state checkpoints for the OOD-GNN trainer.
+//! Full-training-state checkpoints for the training loop.
 //!
-//! A [`TrainCheckpoint`] captures everything [`crate::OodGnn::train_run`]
-//! needs to resume a run to a **bitwise-identical** loss curve: model
+//! A [`TrainCheckpoint`] captures everything [`crate::train_run`] needs
+//! to resume a run to a **bitwise-identical** loss curve: model
 //! parameters and buffers, Adam moment buffers and step counters, the
 //! xoshiro RNG state (including the cached Box–Muller spare), the
-//! `GlobalMemory` groups, the learned per-graph sample weights, the
-//! loss/HSIC curves, the best-validation tracker and the guardrail
-//! counters. Serialization uses the section-based [`Snapshot`] format from
-//! the tensor crate, written atomically (write-tmp + rename) and sealed with
-//! a mandatory content checksum.
+//! loss/HSIC curves, the best-validation tracker, the guardrail counters
+//! and, for a run with a reweighter, the `GlobalMemory` groups and the
+//! learned per-graph sample weights. Serialization uses the
+//! section-based [`Snapshot`] format from the tensor crate, written
+//! atomically (write-tmp + rename) and sealed with a mandatory content
+//! checksum.
 //!
 //! It is also the one format for a trained model alone:
 //! [`TrainCheckpoint::from_model`] captures a module's parameters and
@@ -259,7 +260,10 @@ impl TrainCheckpoint {
         }
         let curves = section("curves")?;
         let n_epochs = curves.ints.first().copied().unwrap_or(0) as usize;
-        if n_epochs.checked_mul(2) != Some(curves.floats.len()) {
+        // The HSIC curve follows the loss curve: as long, or empty for a
+        // run without a reweighter.
+        let n_hsic = curves.floats.len().checked_sub(n_epochs);
+        if n_hsic != Some(n_epochs) && n_hsic != Some(0) {
             return Err(OodGnnError::Checkpoint(
                 "curves section length mismatch".into(),
             ));

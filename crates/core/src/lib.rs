@@ -20,7 +20,8 @@
 //!    dataset at `O((K+1)|B|)` cost (Eq. 8–9).
 //! 4. The **training loop** ([`trainer`]) alternates `Epoch_Reweight` inner
 //!    steps on the weights with one weighted-ERM step on encoder +
-//!    classifier (Algorithm 1).
+//!    classifier (Algorithm 1). It is the one loop for every model: the
+//!    eight baselines run it without a [`Reweighter`], as plain ERM.
 //!
 //! The training runtime is **fault tolerant**: [`checkpoint`] snapshots the
 //! full training state atomically and resumes to a bitwise-identical loss
@@ -49,7 +50,9 @@ pub use fault::FaultPlan;
 pub use global_local::GlobalMemory;
 pub use health::{HealthPolicy, HealthReport};
 pub use rff::RffParams;
-pub use trainer::{OodGnn, OodGnnConfig, OodGnnReport, TrainOptions};
+pub use trainer::{
+    train_run, OodGnn, OodGnnConfig, OodGnnReport, Reweighter, TrainOptions, TrainReport,
+};
 pub use weights::GraphWeights;
 
 #[cfg(test)]

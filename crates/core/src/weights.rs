@@ -39,6 +39,11 @@ impl GraphWeights {
         &self.param.value
     }
 
+    /// Consume into the weight tensor.
+    pub fn into_values(self) -> Tensor {
+        self.param.value
+    }
+
     /// Access the underlying parameter (for the optimizer).
     pub fn param_mut(&mut self) -> &mut Param {
         &mut self.param

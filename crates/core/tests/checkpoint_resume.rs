@@ -5,9 +5,12 @@
 
 use datasets::triangles::{generate, TrianglesConfig};
 use gnn::encoder::ConvKind;
-use gnn::models::ModelConfig;
+use gnn::models::{BaselineKind, GnnModel, ModelConfig};
 use gnn::trainer::TrainConfig;
-use oodgnn_core::{CheckpointConfig, FaultPlan, OodGnn, OodGnnConfig, OodGnnError, TrainOptions};
+use oodgnn_core::{
+    train_run, CheckpointConfig, FaultPlan, OodGnn, OodGnnConfig, OodGnnError, TrainCheckpoint,
+    TrainOptions, TrainReport,
+};
 use std::path::PathBuf;
 use tensor::rng::Rng;
 
@@ -165,4 +168,131 @@ fn resume_with_wrong_seed_is_rejected() {
         "expected a checkpoint error, got {err:?}"
     );
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
+
+/// The GIN baseline built from the same seed and sizes as
+/// `quick_config`'s OOD-GNN: the same parameter shapes.
+fn gin_baseline(bench: &datasets::OodBenchmark) -> GnnModel {
+    GnnModel::baseline(
+        BaselineKind::Gin,
+        bench.dataset.feature_dim(),
+        bench.dataset.task(),
+        &quick_config(ConvKind::Gin).model,
+        &mut Rng::seed_from(7),
+    )
+}
+
+/// A baseline run (no reweighter) of `quick_config`'s schedule.
+fn baseline_run(
+    model: &mut GnnModel,
+    bench: &datasets::OodBenchmark,
+    opts: TrainOptions,
+) -> Result<TrainReport, OodGnnError> {
+    train_run(
+        model,
+        None,
+        bench,
+        &quick_config(ConvKind::Gin).train,
+        11,
+        opts,
+    )
+}
+
+#[test]
+fn baseline_kill_and_resume_is_bitwise_identical() {
+    let bench = generate(&TrianglesConfig::scaled(0.02), 1);
+    let clean = baseline_run(&mut gin_baseline(&bench), &bench, TrainOptions::default()).unwrap();
+
+    let path = scratch_path("baseline");
+    let killed = baseline_run(
+        &mut gin_baseline(&bench),
+        &bench,
+        TrainOptions {
+            checkpoint: Some(CheckpointConfig::new(&path, 1)),
+            faults: Some(FaultPlan::seeded(9).with_kill_at(4, 1)),
+            ..Default::default()
+        },
+    );
+    match killed {
+        Err(OodGnnError::Interrupted { epoch: 4, batch: 1 }) => {}
+        other => panic!("expected Interrupted at (4, 1), got {other:?}"),
+    }
+    let resumed = baseline_run(
+        &mut gin_baseline(&bench),
+        &bench,
+        TrainOptions {
+            checkpoint: Some(CheckpointConfig::new(&path, 1)),
+            resume: true,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+
+    assert_bitwise_eq(&clean.loss_curve, &resumed.loss_curve, "loss_curve");
+    let metrics = |r: &TrainReport| [r.train_metric, r.val_metric, r.test_metric].map(f32::to_bits);
+    assert_eq!(
+        metrics(&clean),
+        metrics(&resumed),
+        "metrics must match bitwise"
+    );
+    let best = |r: &TrainReport| {
+        (
+            r.best_val_metric.map(f32::to_bits),
+            r.test_at_best_val.map(f32::to_bits),
+        )
+    };
+    assert!(best(&clean).0.is_some());
+    assert_eq!(best(&clean), best(&resumed));
+    assert!(resumed.final_weights.is_empty() && resumed.hsic_curve.is_empty());
+    assert_eq!(clean.health, resumed.health);
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
+
+#[test]
+fn checkpoint_of_the_other_kind_is_rejected() {
+    let bench = generate(&TrianglesConfig::scaled(0.02), 1);
+    let save = |path: &PathBuf| TrainOptions {
+        checkpoint: Some(CheckpointConfig::new(path, 2)),
+        ..Default::default()
+    };
+    let resume = |path: &PathBuf| TrainOptions {
+        resume: true,
+        ..save(path)
+    };
+    let ood = || {
+        OodGnn::new(
+            bench.dataset.feature_dim(),
+            bench.dataset.task(),
+            quick_config(ConvKind::Gin),
+            &mut Rng::seed_from(7),
+        )
+    };
+    let base_path = scratch_path("kind_baseline");
+    let ood_path = scratch_path("kind_oodgnn");
+    baseline_run(&mut gin_baseline(&bench), &bench, save(&base_path)).unwrap();
+    ood().train_run(&bench, 11, save(&ood_path)).unwrap();
+
+    // Shapes alone cannot tell the two apart: either model restores
+    // from either checkpoint.
+    let ood_ck = TrainCheckpoint::load(&ood_path).unwrap();
+    ood_ck.restore_model(&mut gin_baseline(&bench)).unwrap();
+    TrainCheckpoint::load(&base_path)
+        .unwrap()
+        .restore_model(ood().model_mut())
+        .unwrap();
+    assert!(!ood_ck.memory_tensors.is_empty());
+
+    let err = baseline_run(&mut gin_baseline(&bench), &bench, resume(&ood_path)).unwrap_err();
+    assert!(
+        matches!(err, OodGnnError::Checkpoint(_)),
+        "baseline resumed from an OOD-GNN checkpoint: {err:?}"
+    );
+    let err = ood().train_run(&bench, 11, resume(&base_path)).unwrap_err();
+    assert!(
+        matches!(err, OodGnnError::Checkpoint(_)),
+        "OOD-GNN resumed from a baseline checkpoint: {err:?}"
+    );
+    for p in [base_path, ood_path] {
+        std::fs::remove_dir_all(p.parent().unwrap()).ok();
+    }
 }

@@ -91,11 +91,6 @@ impl StackedEncoder {
             hidden,
         }
     }
-
-    /// Number of message-passing layers.
-    pub fn num_layers(&self) -> usize {
-        self.convs.len()
-    }
 }
 
 impl GraphEncoder for StackedEncoder {

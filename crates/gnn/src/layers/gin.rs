@@ -13,7 +13,6 @@ use tensor::{Mode, NodeId, Tape, Tensor};
 pub struct GinConv {
     mlp: Mlp,
     eps: Param,
-    final_activation: bool,
 }
 
 impl GinConv {
@@ -22,14 +21,7 @@ impl GinConv {
         GinConv {
             mlp: Mlp::new(&[in_dim, out_dim, out_dim], true, rng),
             eps: Param::new(Tensor::from_vec(vec![0.0], [1])),
-            final_activation: true,
         }
-    }
-
-    /// GIN layer without the trailing ReLU (for the last encoder layer).
-    pub fn without_final_activation(mut self) -> Self {
-        self.final_activation = false;
-        self
     }
 
     /// Current ε value (for inspection).
@@ -53,11 +45,8 @@ impl Conv for GinConv {
         let one_plus_eps = tape.add_scalar(eps, 1.0);
         let scaled = tape.mul(x, one_plus_eps);
         let combined = tape.add(scaled, agg);
-        let mut h = self.mlp.forward(tape, combined, mode);
-        if self.final_activation {
-            h = tape.relu(h);
-        }
-        h
+        let h = self.mlp.forward(tape, combined, mode);
+        tape.relu(h)
     }
 
     fn out_dim(&self) -> usize {

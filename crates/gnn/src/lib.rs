@@ -2,8 +2,9 @@
 //!
 //! GNN layers, pooling operators, the eight baseline models of the OOD-GNN
 //! paper (GCN, GCN-virtual, GIN, GIN-virtual, FactorGCN, PNA, TopKPool,
-//! SAGPool) and a standard ERM trainer, all built on the `ood-tensor`
-//! autodiff tape and the `ood-graph` batch layout.
+//! SAGPool) and the losses and metrics their training uses, all built on
+//! the `ood-tensor` autodiff tape and the `ood-graph` batch layout. Every
+//! model trains through the one loop in `oodgnn-core`.
 //!
 //! The central abstraction is [`encoder::GraphEncoder`]: anything that maps
 //! a [`graph::GraphBatch`] to a `[num_graphs, d]` representation node on a

@@ -1,13 +1,12 @@
-//! Standard (ERM) training and evaluation of baseline models, plus the
-//! shared loss/metric plumbing that the OOD-GNN trainer reuses.
+//! Training hyper-parameters and the loss/metric plumbing of the one
+//! training loop (`oodgnn_core::train_run`): per-sample losses for every
+//! task type, and evaluation of a model on a split.
 
 use crate::models::GnnModel;
 use datasets::metrics::{accuracy, rmse, roc_auc_multitask};
-use datasets::OodBenchmark;
 use graph::{GraphBatch, GraphDataset, TaskType};
 use tensor::nn::Module;
-use tensor::ops::loss::{bce_with_logits, cross_entropy, mse, weighted_mean};
-use tensor::optim::{Adam, Optimizer};
+use tensor::ops::loss::{bce_with_logits, cross_entropy, mse};
 use tensor::rng::Rng;
 use tensor::{Mode, NodeId, Tape, Tensor};
 
@@ -44,93 +43,8 @@ impl Default for TrainConfig {
     }
 }
 
-/// Outcome of a training run: final metrics plus the per-epoch loss curve
-/// (used by the paper's Figure 3 training-dynamics plot).
-#[derive(Debug, Clone)]
-pub struct TrainReport {
-    /// Metric on the training split.
-    pub train_metric: f32,
-    /// Metric on the validation split.
-    pub val_metric: f32,
-    /// Metric on the (OOD) test split.
-    pub test_metric: f32,
-    /// Mean training loss per epoch.
-    pub loss_curve: Vec<f32>,
-    /// Best validation metric seen during periodic evaluation (requires
-    /// `eval_every`).
-    pub best_val_metric: Option<f32>,
-    /// Test metric at the epoch with the best validation metric.
-    pub test_at_best_val: Option<f32>,
-}
-
-/// Track the (validation, test) pair at the best validation epoch;
-/// "better" respects the task direction (higher AUC/accuracy, lower RMSE).
-pub struct BestTracker {
-    lower_is_better: bool,
-    best_val: Option<f32>,
-    test_at_best: Option<f32>,
-}
-
-impl BestTracker {
-    /// New tracker; `lower_is_better` for RMSE-style metrics.
-    pub fn new(lower_is_better: bool) -> Self {
-        BestTracker {
-            lower_is_better,
-            best_val: None,
-            test_at_best: None,
-        }
-    }
-
-    /// Observe one (validation, test) evaluation pair.
-    pub fn observe(&mut self, val: f32, test: f32) {
-        let better = match self.best_val {
-            None => true,
-            Some(b) => {
-                if self.lower_is_better {
-                    val < b
-                } else {
-                    val > b
-                }
-            }
-        };
-        if better && val.is_finite() {
-            self.best_val = Some(val);
-            self.test_at_best = Some(test);
-        }
-    }
-
-    /// Consume into `(best_val, test_at_best_val)`.
-    pub fn into_parts(self) -> (Option<f32>, Option<f32>) {
-        (self.best_val, self.test_at_best)
-    }
-
-    /// Peek at `(best_val, test_at_best_val)` without consuming — used
-    /// when checkpointing mid-run.
-    pub fn parts(&self) -> (Option<f32>, Option<f32>) {
-        (self.best_val, self.test_at_best)
-    }
-
-    /// Whether this tracker prefers lower validation metrics.
-    pub fn lower_is_better(&self) -> bool {
-        self.lower_is_better
-    }
-
-    /// Rebuild a tracker from checkpointed state.
-    pub fn from_parts(
-        lower_is_better: bool,
-        best_val: Option<f32>,
-        test_at_best: Option<f32>,
-    ) -> Self {
-        BestTracker {
-            lower_is_better,
-            best_val,
-            test_at_best,
-        }
-    }
-}
-
 /// Build the per-sample loss vector for a batch of dataset indices.
-/// Returns a `[batch, ]` node. Exposed for the OOD-GNN trainer.
+/// Returns a `[batch, ]` node.
 pub fn per_sample_loss(
     tape: &mut Tape,
     logits: NodeId,
@@ -187,195 +101,11 @@ pub fn evaluate(
     }
 }
 
-/// Train a model by weighted empirical risk minimization with uniform
-/// weights (plain ERM) and report train/val/test metrics.
-pub fn train_erm(
-    model: &mut GnnModel,
-    bench: &OodBenchmark,
-    config: &TrainConfig,
-    seed: u64,
-) -> TrainReport {
-    let ds = &bench.dataset;
-    let mut rng = Rng::seed_from(seed);
-    let mut opt = Adam::new(config.lr)
-        .with_weight_decay(config.weight_decay)
-        .with_grad_clip(config.grad_clip);
-    let mut loss_curve = Vec::with_capacity(config.epochs);
-    let mut tracker = BestTracker::new(ds.task().is_regression());
-    let n = bench.split.train.len();
-    let _train_span = trace::span!("train_erm");
-    for epoch in 0..config.epochs {
-        let _epoch_span = trace::span!("epoch");
-        let mut order = bench.split.train.clone();
-        rng.shuffle(&mut order);
-        let mut epoch_loss = 0.0;
-        let mut grad_norm_sum = 0.0;
-        let mut batches = 0usize;
-        for chunk in order.chunks(config.batch_size) {
-            let batch = GraphBatch::from_dataset(ds, chunk);
-            let mut tape = Tape::new();
-            let logits = model.predict(&mut tape, &batch, Mode::Train, &mut rng);
-            let per_sample = per_sample_loss(&mut tape, logits, ds, chunk);
-            let uniform = Tensor::ones([chunk.len()]);
-            let loss = weighted_mean(&mut tape, per_sample, &uniform);
-            epoch_loss += tape.value(loss).item();
-            batches += 1;
-            let grads = tape.backward(loss);
-            let params = model.params_mut();
-            if trace::enabled() {
-                grad_norm_sum += tensor::optim::global_grad_norm(&params, &grads);
-            }
-            opt.step(params, &grads);
-        }
-        let denom = batches.max(1) as f32;
-        loss_curve.push(if batches > 0 { epoch_loss / denom } else { 0.0 });
-        if trace::enabled() {
-            trace::emit_event(
-                "epoch",
-                &[
-                    ("epoch", (epoch as i64).into()),
-                    ("loss", (epoch_loss / denom).into()),
-                    ("grad_norm", (grad_norm_sum / denom).into()),
-                ],
-            );
-            trace::metrics::flush();
-        }
-        if let Some(k) = config.eval_every {
-            if k > 0 && (epoch + 1) % k == 0 {
-                let v = evaluate(model, ds, &bench.split.val, config.batch_size, &mut rng);
-                let t = evaluate(model, ds, &bench.split.test, config.batch_size, &mut rng);
-                tracker.observe(v, t);
-            }
-        }
-    }
-    let _ = n;
-    let (best_val_metric, test_at_best_val) = tracker.into_parts();
-    TrainReport {
-        train_metric: evaluate(model, ds, &bench.split.train, config.batch_size, &mut rng),
-        val_metric: evaluate(model, ds, &bench.split.val, config.batch_size, &mut rng),
-        test_metric: evaluate(model, ds, &bench.split.test, config.batch_size, &mut rng),
-        loss_curve,
-        best_val_metric,
-        test_at_best_val,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::{BaselineKind, ModelConfig};
     use datasets::triangles::{generate, TrianglesConfig};
-    use graph::{Graph, Label, Split};
-
-    /// A tiny dataset where class = presence of an edge pattern the GNN can
-    /// easily learn: class 1 graphs are triangles, class 0 are paths.
-    fn easy_benchmark(n_per_class: usize) -> OodBenchmark {
-        let mut graphs = Vec::new();
-        let mut rng = Rng::seed_from(1);
-        for i in 0..2 * n_per_class {
-            let class = i % 2;
-            let n = 3 + rng.below(3);
-            let mut feats = Tensor::ones([n, 2]);
-            for r in 0..n {
-                *feats.at_mut(r, 1) = rng.unit();
-            }
-            let mut g = Graph::new(n, feats, Label::Class(class));
-            for j in 1..n {
-                g.add_undirected_edge(j - 1, j);
-            }
-            if class == 1 {
-                g.add_undirected_edge(0, 2.min(n - 1));
-            }
-            graphs.push(g);
-        }
-        let ds = GraphDataset::new("easy", graphs, TaskType::MultiClass { classes: 2 });
-        let n = ds.len();
-        let train: Vec<usize> = (0..n * 8 / 10).collect();
-        let val: Vec<usize> = (n * 8 / 10..n * 9 / 10).collect();
-        let test: Vec<usize> = (n * 9 / 10..n).collect();
-        OodBenchmark {
-            dataset: ds,
-            split: Split { train, val, test },
-        }
-    }
-
-    #[test]
-    fn erm_learns_easy_task() {
-        let bench = easy_benchmark(40);
-        let mut rng = Rng::seed_from(2);
-        let cfg = ModelConfig {
-            hidden: 16,
-            layers: 2,
-            dropout: 0.0,
-            ..Default::default()
-        };
-        let mut model = GnnModel::baseline(
-            BaselineKind::Gin,
-            bench.dataset.feature_dim(),
-            bench.dataset.task(),
-            &cfg,
-            &mut rng,
-        );
-        let report = train_erm(
-            &mut model,
-            &bench,
-            &TrainConfig {
-                epochs: 30,
-                batch_size: 16,
-                lr: 3e-3,
-                ..Default::default()
-            },
-            3,
-        );
-        assert!(
-            report.train_metric > 0.9,
-            "train acc {}",
-            report.train_metric
-        );
-        assert!(report.test_metric > 0.8, "test acc {}", report.test_metric);
-        // Loss should decrease substantially.
-        let first = report.loss_curve[0];
-        let last = *report.loss_curve.last().unwrap();
-        assert!(last < first * 0.5, "loss {first} -> {last}");
-    }
-
-    #[test]
-    fn triangles_baseline_shows_ood_gap() {
-        // Even a briefly-trained GIN should do better in-distribution than on
-        // the larger OOD test graphs — the effect the paper studies.
-        let bench = generate(&TrianglesConfig::scaled(0.06), 4);
-        let mut rng = Rng::seed_from(5);
-        let cfg = ModelConfig {
-            hidden: 16,
-            layers: 2,
-            dropout: 0.0,
-            ..Default::default()
-        };
-        let mut model = GnnModel::baseline(
-            BaselineKind::Gin,
-            bench.dataset.feature_dim(),
-            bench.dataset.task(),
-            &cfg,
-            &mut rng,
-        );
-        let report = train_erm(
-            &mut model,
-            &bench,
-            &TrainConfig {
-                epochs: 15,
-                batch_size: 32,
-                lr: 3e-3,
-                ..Default::default()
-            },
-            6,
-        );
-        assert!(
-            report.train_metric > report.test_metric,
-            "expected OOD gap: train {} vs test {}",
-            report.train_metric,
-            report.test_metric
-        );
-    }
 
     #[test]
     fn evaluate_handles_regression() {
@@ -400,7 +130,7 @@ mod tests {
 
     #[test]
     fn empty_split_evaluates_to_nan() {
-        let bench = easy_benchmark(4);
+        let bench = generate(&TrianglesConfig::scaled(0.01), 4);
         let mut rng = Rng::seed_from(9);
         let cfg = ModelConfig {
             hidden: 4,

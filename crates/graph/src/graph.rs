@@ -83,11 +83,6 @@ impl Graph {
         &self.label
     }
 
-    /// Replace the label.
-    pub fn set_label(&mut self, label: Label) {
-        self.label = label;
-    }
-
     /// Scaffold/group id, if assigned.
     pub fn scaffold(&self) -> Option<u32> {
         self.scaffold

@@ -22,9 +22,3 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut Rng) -> Tensor {
     let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
     Tensor::rand_uniform([fan_in, fan_out], -bound, bound, rng)
 }
-
-/// Kaiming/He normal initialization (suited to ReLU nets).
-pub fn kaiming_normal(fan_in: usize, fan_out: usize, rng: &mut Rng) -> Tensor {
-    let std = (2.0 / fan_in as f32).sqrt();
-    Tensor::randn([fan_in, fan_out], rng).mul_scalar(std)
-}

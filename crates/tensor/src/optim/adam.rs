@@ -51,13 +51,6 @@ impl Adam {
         self
     }
 
-    /// Override betas.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// One Adam update of `p` from the gradient `g`, with no tape: the body
     /// of [`Optimizer::step`] for a single parameter, for callers that
     /// compute their gradients by hand.

@@ -164,11 +164,6 @@ impl Rng {
         r * theta.cos()
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.normal()
-    }
-
     /// A uniformly random permutation of `0..n` (Fisher–Yates).
     pub fn permutation(&mut self, n: usize) -> Vec<usize> {
         let mut p: Vec<usize> = (0..n).collect();

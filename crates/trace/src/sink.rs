@@ -103,14 +103,23 @@ impl JsonlSink {
     /// Create (truncating) a JSONL file at `path`, creating parent
     /// directories as needed.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
+        Self::open(path.as_ref(), |p| File::create(p))
+    }
+
+    /// Like [`JsonlSink::create`], but the file must not exist yet: a
+    /// name collision fails with `AlreadyExists` and leaves the existing
+    /// file intact.
+    pub fn create_new(path: impl AsRef<Path>) -> std::io::Result<Self> {
+        Self::open(path.as_ref(), |p| File::create_new(p))
+    }
+
+    fn open(path: &Path, open: fn(&Path) -> std::io::Result<File>) -> std::io::Result<Self> {
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
-        let file = File::create(&path)?;
         Ok(JsonlSink {
-            writer: BufWriter::new(file),
-            path,
+            writer: BufWriter::new(open(path)?),
+            path: path.to_path_buf(),
         })
     }
 
@@ -232,6 +241,23 @@ mod tests {
         assert_eq!(events[1].name, "work");
         assert_eq!(events[2].kind, EventKind::Counter);
         assert_eq!(events[2].field("value").unwrap().as_i64(), Some(4));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn create_new_refuses_an_existing_name_and_keeps_its_file() {
+        let dir = std::env::temp_dir().join(format!("trace-new-{}", std::process::id()));
+        let path = dir.join("run.jsonl");
+        let mut first = JsonlSink::create_new(&path).unwrap();
+        first.emit(&Event::new(EventKind::Event, "kept"));
+        first.flush();
+        let err = JsonlSink::create_new(&path)
+            .err()
+            .expect("second open must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+        let events = read_jsonl(&path).unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].name, "kept");
         std::fs::remove_dir_all(&dir).ok();
     }
 

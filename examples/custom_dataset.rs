@@ -106,7 +106,15 @@ fn main() {
         &model_cfg,
         &mut rng,
     );
-    let gin_report = train_erm(&mut gin, &bench, &train_cfg, 13);
+    let gin_report = train_run(
+        &mut gin,
+        None,
+        &bench,
+        &train_cfg,
+        13,
+        TrainOptions::default(),
+    )
+    .expect("training failed");
     println!(
         "GIN     : train acc {:.3} | unbiased-test acc {:.3}",
         gin_report.train_metric, gin_report.test_metric

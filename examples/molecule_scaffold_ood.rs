@@ -75,7 +75,15 @@ fn main() {
         &model_cfg,
         &mut rng,
     );
-    let gin_report = train_erm(&mut gin, &bench, &train_cfg, 5);
+    let gin_report = train_run(
+        &mut gin,
+        None,
+        &bench,
+        &train_cfg,
+        5,
+        TrainOptions::default(),
+    )
+    .expect("training failed");
     println!(
         "GIN     : train AUC {:.3} | scaffold-OOD test AUC {:.3}",
         gin_report.train_metric, gin_report.test_metric

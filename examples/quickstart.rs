@@ -40,7 +40,15 @@ fn main() {
         &model_cfg,
         &mut rng,
     );
-    let gin_report = train_erm(&mut gin, &bench, &train_cfg, 1);
+    let gin_report = train_run(
+        &mut gin,
+        None,
+        &bench,
+        &train_cfg,
+        1,
+        TrainOptions::default(),
+    )
+    .expect("training failed");
     println!(
         "GIN      : train acc {:.3} | OOD test acc {:.3}",
         gin_report.train_metric, gin_report.test_metric

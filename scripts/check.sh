@@ -74,14 +74,19 @@ echo "== kernel sweep smoke (per-kernel timing, output digests equal at t=1/2/4)
 OOD_BENCH_FAST=1 cargo run -p bench --release --bin kernel_sweep -- --json - >/dev/null || status=1
 
 echo "== perf gate (baseline regression check, then the thread x pool matrix, at t=1 and t=4)"
+gate_stamp=$(mktemp)
 OOD_BENCH_FAST=1 OOD_THREADS=1 cargo run -p bench --release --bin perf_gate -- --tolerance 2 >/dev/null || status=1
 OOD_BENCH_FAST=1 OOD_THREADS=4 cargo run -p bench --release --bin perf_gate -- --tolerance 2 >/dev/null || status=1
-gate_trace=$(ls -t results/telemetry/perf_gate-*.jsonl 2>/dev/null | head -1 || true)
-if [ -n "$gate_trace" ]; then
-    grep -q '"name":"tensor_memory"' "$gate_trace" || status=1
-    grep -q '"name":"run_manifest"' "$gate_trace" || status=1
+# Check the traces of both runs just made (t=1 and t=4), not only the newest.
+mapfile -t gate_traces < <(find results/telemetry -name 'perf_gate-*.jsonl' -newer "$gate_stamp" 2>/dev/null)
+rm -f "$gate_stamp"
+if [ "${#gate_traces[@]}" -eq 2 ]; then
+    for gate_trace in "${gate_traces[@]}"; do
+        grep -q '"name":"tensor_memory"' "$gate_trace" || status=1
+        grep -q '"name":"run_manifest"' "$gate_trace" || status=1
+    done
 else
-    echo "perf_gate: no recorded trace found" >&2
+    echo "perf_gate: expected the t=1 and t=4 traces, found ${#gate_traces[@]}" >&2
     status=1
 fi
 

@@ -199,56 +199,48 @@ fn main() {
 
     let mut rng = Rng::seed_from(seed);
     println!("training {method} for {} epochs ...", train_cfg.epochs);
-    if let Some(kind) = baseline_kind(method) {
-        let mut model = GnnModel::baseline(
-            kind,
-            bench.dataset.feature_dim(),
-            bench.dataset.task(),
-            &model_cfg,
-            &mut rng,
-        );
-        let r = train_erm(&mut model, &bench, &train_cfg, seed ^ 0x5151);
-        println!(
-            "train {:.4} | val {:.4} | OOD test {:.4}",
-            r.train_metric, r.val_metric, r.test_metric
-        );
-        if let Some(path) = args.get("save") {
-            TrainCheckpoint::from_model(&mut model)
-                .save(path)
-                .expect("failed to save checkpoint");
-            println!("checkpoint written to {path}");
+    let in_dim = bench.dataset.feature_dim();
+    let task = bench.dataset.task();
+    let (mut model, mut reweighter) = match baseline_kind(method) {
+        Some(kind) => (
+            GnnModel::baseline(kind, in_dim, task, &model_cfg, &mut rng),
+            None,
+        ),
+        None => {
+            let cfg = OodGnnConfig {
+                model: model_cfg,
+                train: train_cfg.clone(),
+                epoch_reweight: get_u("epoch-reweight", 15),
+                ..Default::default()
+            };
+            let (model, reweighter) = OodGnn::new(in_dim, task, cfg, &mut rng).into_parts();
+            (model, Some(reweighter))
         }
-    } else if method == "ood-gnn" {
-        let cfg = OodGnnConfig {
-            model: model_cfg,
-            train: train_cfg,
-            epoch_reweight: get_u("epoch-reweight", 15),
-            ..Default::default()
-        };
-        let mut model = OodGnn::new(
-            bench.dataset.feature_dim(),
-            bench.dataset.task(),
-            cfg,
-            &mut rng,
-        );
-        let r = model.train(&bench, seed ^ 0x5151).expect("training failed");
+    };
+    let r = train_run(
+        &mut model,
+        reweighter.as_mut(),
+        &bench,
+        &train_cfg,
+        seed ^ 0x5151,
+        TrainOptions::default(),
+    )
+    .expect("training failed");
+    println!(
+        "train {:.4} | val {:.4} | OOD test {:.4}",
+        r.train_metric, r.val_metric, r.test_metric
+    );
+    if reweighter.is_some() {
         let w = weight_stats(&r.final_weights);
-        println!(
-            "train {:.4} | val {:.4} | OOD test {:.4}",
-            r.train_metric, r.val_metric, r.test_metric
-        );
         println!(
             "learned weights: std {:.3}, range [{:.3}, {:.3}], effective sample fraction {:.2}",
             w.std, w.min, w.max, w.effective_sample_fraction
         );
-        if let Some(path) = args.get("save") {
-            TrainCheckpoint::from_model(model.model_mut())
-                .save(path)
-                .expect("failed to save checkpoint");
-            println!("checkpoint written to {path}");
-        }
-    } else {
-        eprintln!("unknown method: {method}\n");
-        usage();
+    }
+    if let Some(path) = args.get("save") {
+        TrainCheckpoint::from_model(&mut model)
+            .save(path)
+            .expect("failed to save checkpoint");
+        println!("checkpoint written to {path}");
     }
 }

@@ -10,10 +10,11 @@
 //! * [`graph`] — graph data model, batching, splits, graph algorithms.
 //! * [`datasets`] — synthetic OOD benchmarks (TRIANGLES, MNIST-75SP-like,
 //!   COLLAB/PROTEINS/D&D-like, nine OGB-like molecule datasets) + metrics.
-//! * [`gnn`] — GNN layers, pooling, the eight baseline models, ERM
-//!   training.
+//! * [`gnn`] — GNN layers, pooling, the eight baseline models, losses and
+//!   evaluation.
 //! * [`core`] — OOD-GNN itself: RFF decorrelation, sample reweighting, the
-//!   global–local weight estimator and Algorithm 1.
+//!   global–local weight estimator, and the one training loop (Algorithm 1;
+//!   the baselines run it without a reweighter, as plain ERM).
 //!
 //! ## Quickstart
 //!
@@ -44,14 +45,17 @@ pub use tensor;
 
 /// Commonly used items for examples and downstream code.
 pub mod prelude {
-    pub use crate::core::{DecorrelationKind, GlobalMemory, OodGnn, OodGnnConfig, OodGnnReport};
+    pub use crate::core::{
+        train_run, DecorrelationKind, GlobalMemory, OodGnn, OodGnnConfig, OodGnnReport,
+        TrainOptions, TrainReport,
+    };
     pub use datasets::mnistsp::MnistSpConfig;
     pub use datasets::ogb::OgbDataset;
     pub use datasets::social::SocialConfig;
     pub use datasets::triangles::TrianglesConfig;
     pub use datasets::OodBenchmark;
     pub use gnn::models::{BaselineKind, GnnModel, ModelConfig};
-    pub use gnn::trainer::{evaluate, train_erm, TrainConfig};
+    pub use gnn::trainer::{evaluate, TrainConfig};
     pub use graph::{Graph, GraphBatch, GraphDataset, Label, Split, TaskType};
     pub use tensor::rng::Rng;
     pub use tensor::{Mode, Tape, Tensor};

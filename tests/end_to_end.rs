@@ -35,7 +35,15 @@ fn triangles_pipeline_baseline_and_oodgnn() {
         &small_model_cfg(),
         &mut rng,
     );
-    let base = train_erm(&mut gin, &bench, &small_train_cfg(6), 3);
+    let base = train_run(
+        &mut gin,
+        None,
+        &bench,
+        &small_train_cfg(6),
+        3,
+        TrainOptions::default(),
+    )
+    .expect("training failed");
     assert!(base.train_metric.is_finite() && base.test_metric.is_finite());
 
     let cfg = OodGnnConfig {
@@ -72,7 +80,15 @@ fn multitask_molecule_pipeline() {
         &small_model_cfg(),
         &mut rng,
     );
-    let report = train_erm(&mut model, &bench, &small_train_cfg(4), 7);
+    let report = train_run(
+        &mut model,
+        None,
+        &bench,
+        &small_train_cfg(4),
+        7,
+        TrainOptions::default(),
+    )
+    .expect("training failed");
     // ROC-AUC is bounded in [0, 1].
     for m in [report.train_metric, report.val_metric, report.test_metric] {
         assert!((0.0..=1.0).contains(&m), "auc {m}");
@@ -124,7 +140,15 @@ fn size_shift_pipeline_all_social_families() {
             &small_model_cfg(),
             &mut rng,
         );
-        let report = train_erm(&mut model, &bench, &small_train_cfg(2), 13);
+        let report = train_run(
+            &mut model,
+            None,
+            &bench,
+            &small_train_cfg(2),
+            13,
+            TrainOptions::default(),
+        )
+        .expect("training failed");
         assert!(report.test_metric.is_finite(), "{}", cfg.name);
     }
 }

@@ -32,7 +32,15 @@ fn checkpoint_roundtrip_preserves_predictions() {
         batch_size: 16,
         ..Default::default()
     };
-    let _ = train_erm(&mut model, &bench, &train_cfg, 2);
+    let _ = train_run(
+        &mut model,
+        None,
+        &bench,
+        &train_cfg,
+        2,
+        TrainOptions::default(),
+    )
+    .expect("training failed");
 
     let dir = std::env::temp_dir().join(format!("oodgnn_it_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -91,7 +99,15 @@ fn model_selection_tracks_best_validation_epoch() {
         eval_every: Some(2),
         ..Default::default()
     };
-    let report = train_erm(&mut model, &bench, &train_cfg, 4);
+    let report = train_run(
+        &mut model,
+        None,
+        &bench,
+        &train_cfg,
+        4,
+        TrainOptions::default(),
+    )
+    .expect("training failed");
     let best = report
         .best_val_metric
         .expect("eval_every should record best val");
@@ -151,16 +167,20 @@ fn gat_and_sage_backbones_train() {
             &mut rng,
         ));
         let mut model = GnnModel::from_encoder(enc, bench.dataset.task(), &mut rng);
-        let report = train_erm(
+        let config = TrainConfig {
+            epochs: 2,
+            batch_size: 16,
+            ..Default::default()
+        };
+        let report = train_run(
             &mut model,
+            None,
             &bench,
-            &TrainConfig {
-                epochs: 2,
-                batch_size: 16,
-                ..Default::default()
-            },
+            &config,
             8,
-        );
+            TrainOptions::default(),
+        )
+        .expect("training failed");
         assert!(report.test_metric.is_finite(), "{kind:?}");
     }
 }
