@@ -14,10 +14,13 @@
 //! `matrix_*` keys, which no baseline gates.
 //!
 //! Usage:
+//! ```text
 //!   cargo run -p bench --release --bin perf_gate            # gate
 //!   cargo run -p bench --release --bin perf_gate -- --update  # refresh baseline
+//! ```
 //!
 //! Flags:
+//! ```text
 //!   --baseline <path>   override the baseline file (default is derived
 //!                       from the thread count: perf_gate_t{N}.json)
 //!   --tolerance <x>     scale every band's headroom (CI uses >1 to absorb
@@ -26,6 +29,7 @@
 //!   --update            write the measured metrics as the new baseline
 //!   --inject-slow       synthetic wall-time regression (self-test)
 //!   --inject-alloc      synthetic allocation spike (self-test)
+//! ```
 //!
 //! Baselines are bound to a thread count and to the workload shape; the
 //! checksum is compared bitwise (determinism contract), wall metrics

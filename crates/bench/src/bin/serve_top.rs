@@ -10,14 +10,17 @@
 //! never talks to the server, so attaching it cannot perturb serving.
 //!
 //! Usage:
+//! ```text
 //!   cargo run -p bench --release --bin serve_top                  # tail newest trace
 //!   cargo run -p bench --release --bin serve_top -- --trace <f>   # tail a specific file
 //!   cargo run -p bench --release --bin serve_top -- --replay --trace <f>
 //!                                                   # replay a recorded trace, final frame
 //!   cargo run -p bench --release --bin serve_top -- --replay --once --trace <f>
 //!                                                   # machine-readable, for CI smokes
+//! ```
 //!
 //! Flags:
+//! ```text
 //!   --trace <path>     JSONL trace to follow (default: newest file under
 //!                      results/telemetry/, honoring OOD_TELEMETRY_DIR)
 //!   --replay           read the file start-to-finish instead of tailing;
@@ -30,6 +33,7 @@
 //!   --interval-ms <n>  live mode poll interval between reads (default 250)
 //!   --history <n>      sparkline width in frames (default 48)
 //!   --no-ansi          never clear the screen between frames
+//! ```
 
 use bench::Args;
 use std::io::{BufReader, Read};

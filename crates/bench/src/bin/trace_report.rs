@@ -5,10 +5,13 @@
 //! this run spend its time" without re-running it.
 //!
 //! Usage:
+//! ```text
 //!   cargo run -p bench --release --bin trace_report                 # newest trace
 //!   cargo run -p bench --release --bin trace_report -- --trace <f>  # specific file
+//! ```
 //!
 //! Flags:
+//! ```text
 //!   --trace <path>        JSONL trace to analyze (default: newest file
 //!                         under results/telemetry/)
 //!   --out <dir>           where to write the .md and .folded artifacts
@@ -17,6 +20,7 @@
 //!   --min-coverage <pct>  exit non-zero unless span attribution covers at
 //!                         least this fraction of wall time (default 0:
 //!                         report-only)
+//! ```
 //!
 //! The markdown goes to stdout as well as the file, so the binary works
 //! both interactively and as a CI artifact step. The `.folded` file is

@@ -1,4 +1,4 @@
-//! Diagnostics for representation dependence and sample weights.
+//! Diagnostics for representation dependence.
 //!
 //! These utilities quantify what OOD-GNN's reweighting actually changes:
 //! the (weighted) pairwise dependence between representation dimensions,
@@ -96,43 +96,6 @@ pub fn dependence_report(
     })
 }
 
-/// Summary statistics of a learned weight vector (Figure 4's panel data).
-#[derive(Debug, Clone, Copy)]
-pub struct WeightStats {
-    /// Mean weight (≈ 1 by the projection).
-    pub mean: f32,
-    /// Standard deviation.
-    pub std: f32,
-    /// Minimum weight.
-    pub min: f32,
-    /// Maximum weight.
-    pub max: f32,
-    /// Effective sample size `(Σw)² / Σw²`, normalized by `n`: 1.0 for
-    /// uniform weights, → 0 as mass concentrates.
-    pub effective_sample_fraction: f32,
-}
-
-/// Compute weight statistics.
-pub fn weight_stats(weights: &[f32]) -> WeightStats {
-    let n = weights.len().max(1) as f32;
-    let sum: f32 = weights.iter().sum();
-    let mean = sum / n;
-    let var = weights.iter().map(|w| (w - mean) * (w - mean)).sum::<f32>() / n;
-    let sum_sq: f32 = weights.iter().map(|w| w * w).sum();
-    let ess = if sum_sq > 0.0 {
-        (sum * sum) / sum_sq / n
-    } else {
-        0.0
-    };
-    WeightStats {
-        mean,
-        std: var.sqrt(),
-        min: weights.iter().copied().fold(f32::INFINITY, f32::min),
-        max: weights.iter().copied().fold(f32::NEG_INFINITY, f32::max),
-        effective_sample_fraction: ess,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,18 +161,18 @@ mod tests {
 
     #[test]
     fn weight_stats_uniform() {
-        let s = weight_stats(&[1.0; 8]);
+        let s = crate::weights::weight_stats(&[1.0; 8]);
         assert_eq!(s.mean, 1.0);
         assert_eq!(s.std, 0.0);
-        assert!((s.effective_sample_fraction - 1.0).abs() < 1e-6);
+        assert!((s.ess / 8.0 - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn weight_stats_concentrated() {
         let mut w = vec![0.01f32; 10];
         w[0] = 9.91;
-        let s = weight_stats(&w);
-        assert!(s.effective_sample_fraction < 0.2, "{s:?}");
+        let s = crate::weights::weight_stats(&w);
+        assert!(s.ess / 10.0 < 0.2, "{s:?}");
         assert!(s.max > 9.0);
     }
 }

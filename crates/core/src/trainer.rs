@@ -112,7 +112,8 @@ pub struct TrainReport {
     /// each batch's inner reweighting converged. Empty without a
     /// reweighter.
     pub hsic_curve: Vec<f32>,
-    /// Statistics (min/max/entropy/ESS) of the final learned weights.
+    /// Statistics (min/max/mean/std/entropy/ESS) of the final learned
+    /// weights.
     pub weight_stats: WeightStats,
     /// Guardrail interventions during the run (all zero for a clean run).
     pub health: HealthReport,

@@ -132,6 +132,8 @@ pub struct WeightStats {
     pub max: f32,
     /// Arithmetic mean (≈1 after projection).
     pub mean: f32,
+    /// Population standard deviation around `mean`.
+    pub std: f32,
     /// Shannon entropy of the normalized weights in nats; uniform weights
     /// attain the maximum `ln n`.
     pub entropy: f32,
@@ -149,12 +151,15 @@ pub fn weight_stats(w: &[f32]) -> WeightStats {
             min: 0.0,
             max: 0.0,
             mean: 0.0,
+            std: 0.0,
             entropy: 0.0,
             ess: 0.0,
         };
     }
     let n = w.len() as f32;
     let sum: f32 = w.iter().sum();
+    let mean = sum / n;
+    let var = w.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / n;
     let sum_sq: f32 = w.iter().map(|&x| x * x).sum();
     let min = w.iter().copied().fold(f32::MAX, f32::min);
     let max = w.iter().copied().fold(f32::MIN, f32::max);
@@ -175,7 +180,8 @@ pub fn weight_stats(w: &[f32]) -> WeightStats {
     WeightStats {
         min,
         max,
-        mean: sum / n,
+        mean,
+        std: var.sqrt(),
         entropy,
         ess,
     }
@@ -184,7 +190,7 @@ pub fn weight_stats(w: &[f32]) -> WeightStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tensor::optim::{Optimizer, Sgd};
+    use tensor::optim::{Adam, Optimizer};
 
     #[test]
     fn starts_uniform() {
@@ -217,7 +223,7 @@ mod tests {
     #[test]
     fn optimization_step_then_project_preserves_constraint() {
         let mut w = GraphWeights::uniform(3);
-        let mut opt = Sgd::new(0.5);
+        let mut opt = Adam::new(0.5);
         let mut tape = Tape::new();
         let wn = w.param_mut().bind(&mut tape);
         // Loss pushing first weight up: -w[0] via mask.
@@ -258,9 +264,15 @@ mod tests {
     }
 
     #[test]
+    fn std_is_population_deviation() {
+        assert_eq!(weight_stats(&[0.5, 1.5, 0.5, 1.5]).std, 0.5);
+    }
+
+    #[test]
     fn empty_weight_stats_are_zero() {
         let s = weight_stats(&[]);
         assert_eq!(s.ess, 0.0);
+        assert_eq!(s.std, 0.0);
         assert_eq!(s.entropy, 0.0);
     }
 

@@ -106,58 +106,6 @@ pub fn rmse(preds: &Tensor, targets: &Tensor) -> f32 {
     (sq / n as f32).sqrt()
 }
 
-/// Binary F1 score from scores (> `threshold` = positive) and {0,1} labels.
-pub fn f1_binary(scores: &[f32], labels: &[f32], threshold: f32) -> f32 {
-    assert_eq!(scores.len(), labels.len());
-    let mut tp = 0f32;
-    let mut fp = 0f32;
-    let mut fngt = 0f32;
-    for (&s, &y) in scores.iter().zip(labels.iter()) {
-        let pred = s > threshold;
-        let pos = y > 0.5;
-        match (pred, pos) {
-            (true, true) => tp += 1.0,
-            (true, false) => fp += 1.0,
-            (false, true) => fngt += 1.0,
-            (false, false) => {}
-        }
-    }
-    if tp == 0.0 {
-        return 0.0;
-    }
-    let precision = tp / (tp + fp);
-    let recall = tp / (tp + fngt);
-    2.0 * precision * recall / (precision + recall)
-}
-
-/// Average precision (area under the precision–recall curve, step
-/// interpolation) from scores and {0,1} labels. Returns `None` when no
-/// positives exist.
-pub fn average_precision(scores: &[f32], labels: &[f32]) -> Option<f32> {
-    assert_eq!(scores.len(), labels.len());
-    let n_pos = labels.iter().filter(|&&y| y > 0.5).count();
-    if n_pos == 0 {
-        return None;
-    }
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut tp = 0f64;
-    let mut seen = 0f64;
-    let mut ap = 0f64;
-    for &i in &idx {
-        seen += 1.0;
-        if labels[i] > 0.5 {
-            tp += 1.0;
-            ap += tp / seen;
-        }
-    }
-    Some((ap / n_pos as f64) as f32)
-}
-
 /// Mean and sample standard deviation of repeated runs.
 pub fn mean_std(values: &[f32]) -> (f32, f32) {
     if values.is_empty() {
@@ -240,33 +188,6 @@ mod tests {
         // sqrt((1 + 4)/2)
         assert!((rmse(&p, &t) - (2.5f32).sqrt()).abs() < 1e-6);
         assert_eq!(rmse(&p, &p), 0.0);
-    }
-
-    #[test]
-    fn f1_known_values() {
-        let s = [0.9, 0.8, 0.2, 0.1];
-        let y = [1.0, 0.0, 1.0, 0.0];
-        // preds at 0.5: [1,1,0,0] -> tp=1, fp=1, fn=1 -> P=0.5, R=0.5, F1=0.5
-        assert!((f1_binary(&s, &y, 0.5) - 0.5).abs() < 1e-6);
-        // Perfect classifier.
-        let y2 = [1.0, 1.0, 0.0, 0.0];
-        assert!((f1_binary(&s, &y2, 0.5) - 1.0).abs() < 1e-6);
-        // No true positives.
-        let y3 = [0.0, 0.0, 1.0, 1.0];
-        assert_eq!(f1_binary(&s, &y3, 0.5), 0.0);
-    }
-
-    #[test]
-    fn average_precision_known_values() {
-        // Perfect ranking: AP = 1.
-        let s = [0.9, 0.8, 0.2, 0.1];
-        let y = [1.0, 1.0, 0.0, 0.0];
-        assert!((average_precision(&s, &y).unwrap() - 1.0).abs() < 1e-6);
-        // Worst ranking of one positive among 4: precision 1/4 at its hit.
-        let y2 = [0.0, 0.0, 0.0, 1.0];
-        assert!((average_precision(&s, &y2).unwrap() - 0.25).abs() < 1e-6);
-        // No positives -> None.
-        assert!(average_precision(&s, &[0.0; 4]).is_none());
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl GatConv {
             .collect();
         GatConv { heads, out_dim }
     }
-
-    /// Number of attention heads.
-    pub fn num_heads(&self) -> usize {
-        self.heads.len()
-    }
 }
 
 /// Numerically stable per-destination softmax of edge scores:
@@ -158,7 +153,8 @@ mod tests {
         let batch = toy_batch();
         let mut rng = Rng::seed_from(2);
         let mut conv = GatConv::new(3, 8, 2, &mut rng);
-        assert_eq!(conv.num_heads(), 2);
+        // Two heads of (projection, source and destination attention).
+        assert_eq!(conv.params_mut().len(), 2 * 3);
         let mut tape = Tape::new();
         let x = tape.constant(batch.features.clone());
         let h = conv.forward(&mut tape, x, &batch, Mode::Train, &mut rng);

@@ -9,28 +9,20 @@ use tensor::rng::Rng;
 use tensor::{Mode, NodeId, Tape};
 
 /// A GraphSAGE-mean layer: `h' = ReLU(W · [h ‖ mean_{j∈N(i)} h_j])` with
-/// (optional) L2 normalization of the output rows.
+/// L2 normalization of the output rows.
 pub struct SageConv {
     linear: Linear,
-    normalize: bool,
     out_dim: usize,
 }
 
 impl SageConv {
     /// A SAGE layer from `in_dim` to `out_dim` features with row
-    /// normalization enabled (as in the original paper).
+    /// normalization (as in the original paper).
     pub fn new(in_dim: usize, out_dim: usize, rng: &mut Rng) -> Self {
         SageConv {
             linear: Linear::new(2 * in_dim, out_dim, rng),
-            normalize: true,
             out_dim,
         }
-    }
-
-    /// Disable the output row L2 normalization.
-    pub fn without_normalization(mut self) -> Self {
-        self.normalize = false;
-        self
     }
 }
 
@@ -48,17 +40,13 @@ impl Conv for SageConv {
         let cat = tape.concat_cols(&[x, mean]);
         let h = self.linear.forward(tape, cat);
         let h = tape.relu(h);
-        if self.normalize {
-            // h / (‖h‖₂ + ε) per row.
-            let sq = tape.square(h);
-            let row_norms = tape.sum_axis(sq, tensor::ops::Axis::Cols);
-            let row_norms = tape.add_scalar(row_norms, 1e-12);
-            let row_norms = tape.sqrt(row_norms);
-            let row_norms = tape.reshape(row_norms, [n, 1]);
-            tape.div(h, row_norms)
-        } else {
-            h
-        }
+        // h / (‖h‖₂ + ε) per row.
+        let sq = tape.square(h);
+        let row_norms = tape.sum_axis(sq, tensor::ops::Axis::Cols);
+        let row_norms = tape.add_scalar(row_norms, 1e-12);
+        let row_norms = tape.sqrt(row_norms);
+        let row_norms = tape.reshape(row_norms, [n, 1]);
+        tape.div(h, row_norms)
     }
 
     fn out_dim(&self) -> usize {
@@ -76,6 +64,7 @@ impl Module for SageConv {
 mod tests {
     use super::*;
     use graph::{Graph, Label};
+    use tensor::check::check_gradients;
     use tensor::Tensor;
 
     fn toy_batch() -> GraphBatch {
@@ -103,10 +92,10 @@ mod tests {
     }
 
     #[test]
-    fn unnormalized_variant_and_grads() {
+    fn grads_reach_params_and_match_finite_differences() {
         let batch = toy_batch();
         let mut rng = Rng::seed_from(2);
-        let mut conv = SageConv::new(4, 6, &mut rng).without_normalization();
+        let mut conv = SageConv::new(4, 6, &mut rng);
         let mut tape = Tape::new();
         let x = tape.constant(batch.features.clone());
         let h = conv.forward(&mut tape, x, &batch, Mode::Train, &mut rng);
@@ -116,6 +105,15 @@ mod tests {
         for p in conv.params_mut() {
             assert!(g.get(p.bound_node().unwrap()).is_some());
         }
+
+        // The input gradient through aggregation, ReLU and the row norm.
+        let conv = std::cell::RefCell::new(conv);
+        let res = check_gradients(std::slice::from_ref(&batch.features), 1e-2, |t, ids| {
+            let mut conv = conv.borrow_mut();
+            let h = conv.forward(t, ids[0], &batch, Mode::Eval, &mut Rng::seed_from(0));
+            t.sum(h)
+        });
+        assert!(res.within(1e-2), "{res:?}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Classic graph algorithms used by the synthetic generators and tests:
-//! exact triangle counting, connectivity, degree statistics.
+//! exact triangle counting, connectivity, node degrees.
 
 use crate::graph::Graph;
 use std::collections::VecDeque;
@@ -63,85 +63,6 @@ pub fn is_connected(g: &Graph) -> bool {
 /// Undirected degree (number of distinct neighbors) of every node.
 pub fn undirected_degrees(g: &Graph) -> Vec<usize> {
     g.adjacency().iter().map(|a| a.len()).collect()
-}
-
-/// The maximum undirected degree in the graph (0 for edgeless graphs).
-pub fn max_degree(g: &Graph) -> usize {
-    undirected_degrees(g).into_iter().max().unwrap_or(0)
-}
-
-/// Local clustering coefficient of every node: the fraction of neighbor
-/// pairs that are themselves connected (0 for nodes of degree < 2).
-pub fn clustering_coefficients(g: &Graph) -> Vec<f32> {
-    let adj = g.adjacency();
-    (0..g.num_nodes())
-        .map(|u| {
-            let nu = &adj[u];
-            let k = nu.len();
-            if k < 2 {
-                return 0.0;
-            }
-            let mut closed = 0usize;
-            for (i, &v) in nu.iter().enumerate() {
-                for &w in &nu[i + 1..] {
-                    if adj[v as usize].binary_search(&w).is_ok() {
-                        closed += 1;
-                    }
-                }
-            }
-            2.0 * closed as f32 / (k * (k - 1)) as f32
-        })
-        .collect()
-}
-
-/// Mean local clustering coefficient (the graph-level clustering used to
-/// distinguish the COLLAB-like classes).
-pub fn average_clustering(g: &Graph) -> f32 {
-    let cc = clustering_coefficients(g);
-    if cc.is_empty() {
-        0.0
-    } else {
-        cc.iter().sum::<f32>() / cc.len() as f32
-    }
-}
-
-/// BFS distances (in hops) from `source`; unreachable nodes get
-/// `usize::MAX`.
-pub fn bfs_distances(g: &Graph, source: usize) -> Vec<usize> {
-    let n = g.num_nodes();
-    assert!(source < n, "source out of range");
-    let mut adj = vec![Vec::new(); n];
-    for &(s, t) in g.edges() {
-        adj[s as usize].push(t as usize);
-        adj[t as usize].push(s as usize);
-    }
-    let mut dist = vec![usize::MAX; n];
-    dist[source] = 0;
-    let mut queue = VecDeque::from([source]);
-    while let Some(u) = queue.pop_front() {
-        for &v in &adj[u] {
-            if dist[v] == usize::MAX {
-                dist[v] = dist[u] + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
-/// Graph diameter (longest shortest path over reachable pairs); 0 for
-/// graphs with fewer than 2 nodes.
-pub fn diameter(g: &Graph) -> usize {
-    let n = g.num_nodes();
-    let mut best = 0usize;
-    for s in 0..n {
-        for &d in &bfs_distances(g, s) {
-            if d != usize::MAX {
-                best = best.max(d);
-            }
-        }
-    }
-    best
 }
 
 /// One-hot encode node degrees, clamped to `max_deg` (features used by the
@@ -232,66 +153,5 @@ mod tests {
         let g = complete(6); // degree 5 everywhere
         let f = one_hot_degree_features(&g, 3);
         assert_eq!(f.row(0), &[0., 0., 0., 1.]);
-    }
-
-    #[test]
-    fn max_degree_works() {
-        assert_eq!(max_degree(&complete(5)), 4);
-        assert_eq!(max_degree(&empty(3)), 0);
-    }
-
-    #[test]
-    fn clustering_of_complete_graph_is_one() {
-        let cc = clustering_coefficients(&complete(5));
-        assert!(cc.iter().all(|&c| (c - 1.0).abs() < 1e-6));
-        assert!((average_clustering(&complete(4)) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clustering_of_path_is_zero() {
-        let mut g = empty(5);
-        for i in 1..5 {
-            g.add_undirected_edge(i - 1, i);
-        }
-        assert_eq!(average_clustering(&g), 0.0);
-    }
-
-    #[test]
-    fn clustering_of_triangle_with_tail() {
-        let mut g = empty(4);
-        g.add_undirected_edge(0, 1);
-        g.add_undirected_edge(1, 2);
-        g.add_undirected_edge(2, 0);
-        g.add_undirected_edge(2, 3);
-        let cc = clustering_coefficients(&g);
-        assert!((cc[0] - 1.0).abs() < 1e-6);
-        assert!((cc[2] - 1.0 / 3.0).abs() < 1e-6); // 1 closed of 3 pairs
-        assert_eq!(cc[3], 0.0);
-    }
-
-    #[test]
-    fn bfs_distances_on_path() {
-        let mut g = empty(4);
-        for i in 1..4 {
-            g.add_undirected_edge(i - 1, i);
-        }
-        assert_eq!(bfs_distances(&g, 0), vec![0, 1, 2, 3]);
-        assert_eq!(diameter(&g), 3);
-    }
-
-    #[test]
-    fn bfs_marks_unreachable() {
-        let mut g = empty(3);
-        g.add_undirected_edge(0, 1);
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d[0], 0);
-        assert_eq!(d[1], 1);
-        assert_eq!(d[2], usize::MAX);
-    }
-
-    #[test]
-    fn diameter_of_complete_graph_is_one() {
-        assert_eq!(diameter(&complete(6)), 1);
-        assert_eq!(diameter(&empty(1)), 0);
     }
 }

@@ -146,17 +146,6 @@ impl GraphDataset {
         &self.graphs[i]
     }
 
-    /// Select a sub-dataset by indices (clones the graphs).
-    pub fn subset(&self, indices: &[usize]) -> GraphDataset {
-        let graphs = indices.iter().map(|&i| self.graphs[i].clone()).collect();
-        GraphDataset {
-            name: self.name.clone(),
-            graphs,
-            task: self.task,
-            feature_dim: self.feature_dim,
-        }
-    }
-
     /// Summary statistics: (num graphs, avg nodes, avg undirected edges).
     pub fn stats(&self) -> (usize, f32, f32) {
         let n = self.len();
@@ -264,23 +253,6 @@ mod tests {
             vec![graph_with_class(0, 3)],
             TaskType::Regression { targets: 1 },
         );
-    }
-
-    #[test]
-    fn subset_preserves_schema() {
-        let ds = GraphDataset::new(
-            "toy",
-            vec![
-                graph_with_class(0, 3),
-                graph_with_class(1, 5),
-                graph_with_class(0, 4),
-            ],
-            TaskType::MultiClass { classes: 2 },
-        );
-        let sub = ds.subset(&[2, 0]);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.graph(0).num_nodes(), 4);
-        assert_eq!(sub.task(), ds.task());
     }
 
     #[test]

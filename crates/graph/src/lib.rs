@@ -2,8 +2,8 @@
 //!
 //! Graph data model for the OOD-GNN workspace: the [`Graph`] value type,
 //! mini-batching via disjoint union ([`GraphBatch`]), dataset containers
-//! with task metadata ([`GraphDataset`]), train/val/test splitting
-//! strategies (random, by graph size, by scaffold), and classic graph
+//! with task metadata ([`GraphDataset`]), train/val/test index sets and
+//! the scaffold split, and classic graph
 //! algorithms (exact triangle counting, connectivity, degrees) used by the
 //! synthetic benchmark generators.
 

@@ -1,12 +1,13 @@
-//! Train/validation/test splitting strategies.
+//! Train/validation/test index sets and the scaffold split.
 //!
-//! Three strategies, matching the paper's Table 1 "Split Method" column:
-//! random (I.I.D. control), **size-based** (train on small graphs, test on
-//! larger — the TRIANGLES/COLLAB/PROTEINS/D&D shift) and **scaffold-based**
-//! (structurally disjoint molecule groups — the OGB shift).
+//! The paper's Table 1 "Split Method" column names two OOD shifts. The
+//! **size-based** one (train on small graphs, test on larger — the
+//! TRIANGLES/COLLAB/PROTEINS/D&D shift) is built by each generator in
+//! `ood-datasets`, which knows its own size ranges. The
+//! **scaffold-based** one (structurally disjoint molecule groups — the OGB
+//! shift) is [`scaffold_split`].
 
 use crate::dataset::GraphDataset;
-use tensor::rng::Rng;
 
 /// Index sets for train/validation/test.
 #[derive(Clone, Debug, Default)]
@@ -54,59 +55,6 @@ impl Split {
     }
 }
 
-/// Random (I.I.D.) split by fractions; the remainder after train and val
-/// goes to test.
-pub fn random_split(ds: &GraphDataset, train_frac: f32, val_frac: f32, rng: &mut Rng) -> Split {
-    assert!(train_frac + val_frac < 1.0 + 1e-6, "fractions exceed 1");
-    let n = ds.len();
-    let perm = rng.permutation(n);
-    let n_train = (n as f32 * train_frac).round() as usize;
-    let n_val = (n as f32 * val_frac).round() as usize;
-    Split {
-        train: perm[..n_train].to_vec(),
-        val: perm[n_train..(n_train + n_val).min(n)].to_vec(),
-        test: perm[(n_train + n_val).min(n)..].to_vec(),
-    }
-}
-
-/// Size-based OOD split: graphs with at most `max_train_nodes` nodes are
-/// candidates for train/val; strictly larger graphs form the test set.
-/// `train_cap` optionally limits the number of training graphs (the paper
-/// trains COLLAB/D&D on 500 graphs); `val_frac` of the small graphs go to
-/// validation.
-pub fn size_split(
-    ds: &GraphDataset,
-    max_train_nodes: usize,
-    train_cap: Option<usize>,
-    val_frac: f32,
-    rng: &mut Rng,
-) -> Split {
-    let mut small: Vec<usize> = Vec::new();
-    let mut large: Vec<usize> = Vec::new();
-    for (i, g) in ds.graphs().iter().enumerate() {
-        if g.num_nodes() <= max_train_nodes {
-            small.push(i);
-        } else {
-            large.push(i);
-        }
-    }
-    rng.shuffle(&mut small);
-    let n_val = (small.len() as f32 * val_frac).round() as usize;
-    let val = small.split_off(small.len() - n_val.min(small.len()));
-    let mut train = small;
-    if let Some(cap) = train_cap {
-        // Overflow beyond the cap joins the test set (as in the paper's
-        // D&D-300 protocol: train on 500 graphs, test on the rest).
-        let extra = train.split_off(cap.min(train.len()));
-        large.extend(extra);
-    }
-    Split {
-        train,
-        val,
-        test: large,
-    }
-}
-
 /// Scaffold-based OOD split: order scaffold groups by descending size and
 /// fill train, then val, then test — structurally distinct molecules end up
 /// in different subsets (the OGB scaffold-split protocol).
@@ -148,57 +96,6 @@ mod tests {
     use crate::dataset::{Label, TaskType};
     use crate::graph::Graph;
     use tensor::Tensor;
-
-    fn dataset_with_sizes(sizes: &[usize]) -> GraphDataset {
-        let graphs = sizes
-            .iter()
-            .map(|&n| {
-                let mut g = Graph::new(n, Tensor::zeros([n, 1]), Label::Class(0));
-                if n >= 2 {
-                    g.add_undirected_edge(0, 1);
-                }
-                g
-            })
-            .collect();
-        GraphDataset::new("sizes", graphs, TaskType::MultiClass { classes: 1 })
-    }
-
-    #[test]
-    fn random_split_partitions() {
-        let ds = dataset_with_sizes(&[3; 100]);
-        let mut rng = Rng::seed_from(1);
-        let s = random_split(&ds, 0.6, 0.2, &mut rng);
-        assert_eq!(s.train.len(), 60);
-        assert_eq!(s.val.len(), 20);
-        assert_eq!(s.test.len(), 20);
-        s.validate(100).unwrap();
-    }
-
-    #[test]
-    fn size_split_separates_by_size() {
-        let sizes: Vec<usize> = (0..50).map(|i| 4 + i % 30).collect();
-        let ds = dataset_with_sizes(&sizes);
-        let mut rng = Rng::seed_from(2);
-        let s = size_split(&ds, 15, None, 0.1, &mut rng);
-        s.validate(50).unwrap();
-        for &i in &s.train {
-            assert!(ds.graph(i).num_nodes() <= 15);
-        }
-        for &i in &s.test {
-            assert!(ds.graph(i).num_nodes() > 15);
-        }
-        assert!(!s.train.is_empty() && !s.test.is_empty());
-    }
-
-    #[test]
-    fn size_split_train_cap_moves_extra_to_test() {
-        let ds = dataset_with_sizes(&[5; 40]);
-        let mut rng = Rng::seed_from(3);
-        let s = size_split(&ds, 10, Some(10), 0.0, &mut rng);
-        assert_eq!(s.train.len(), 10);
-        assert_eq!(s.test.len(), 30);
-        s.validate(40).unwrap();
-    }
 
     #[test]
     fn scaffold_split_keeps_groups_intact() {

@@ -1,11 +1,11 @@
 //! Randomized tests for the graph data model: batching invariants,
-//! permutation invariance of triangle counting, and split well-formedness.
+//! permutation invariance of triangle counting, degree sums and
+//! connectivity.
 //! Each property runs over a fixed fan of seeds through the in-tree
 //! [`Rng`].
 
 use ood_graph::algo::{is_connected, triangle_count, undirected_degrees};
-use ood_graph::split::{random_split, size_split};
-use ood_graph::{Graph, GraphBatch, GraphDataset, Label, TaskType};
+use ood_graph::{Graph, GraphBatch, Label};
 use tensor::rng::Rng;
 use tensor::Tensor;
 
@@ -90,50 +90,6 @@ fn gcn_norms_are_positive_and_bounded() {
         }
         for v in batch.gcn_self_norm() {
             assert!(v > 0.0 && v <= 1.0, "seed {seed}: self norm {v}");
-        }
-    }
-}
-
-#[test]
-fn random_split_is_partition() {
-    for seed in 0..64 {
-        let mut rng = Rng::seed_from(seed);
-        let n = rng.range_inclusive(4, 59);
-        let graphs: Vec<Graph> = (0..n)
-            .map(|_| Graph::new(2, Tensor::zeros([2, 1]), Label::Class(0)))
-            .collect();
-        let ds = GraphDataset::new("p", graphs, TaskType::MultiClass { classes: 1 });
-        let s = random_split(&ds, 0.6, 0.2, &mut rng);
-        assert!(s.validate(n).is_ok(), "seed {seed}");
-        assert_eq!(s.len(), n, "seed {seed}");
-    }
-}
-
-#[test]
-fn size_split_never_trains_on_large() {
-    for seed in 0..64 {
-        let mut rng = Rng::seed_from(seed);
-        let count = rng.range_inclusive(5, 39);
-        let sizes: Vec<usize> = (0..count).map(|_| rng.range_inclusive(2, 39)).collect();
-        let cutoff = rng.range_inclusive(5, 29);
-        let graphs: Vec<Graph> = sizes
-            .iter()
-            .map(|&n| Graph::new(n, Tensor::zeros([n, 1]), Label::Class(0)))
-            .collect();
-        let ds = GraphDataset::new("s", graphs, TaskType::MultiClass { classes: 1 });
-        let s = size_split(&ds, cutoff, None, 0.1, &mut rng);
-        assert!(s.validate(sizes.len()).is_ok(), "seed {seed}");
-        for &i in &s.train {
-            assert!(
-                ds.graph(i).num_nodes() <= cutoff,
-                "seed {seed}: trained on large graph"
-            );
-        }
-        for &i in &s.test {
-            assert!(
-                ds.graph(i).num_nodes() > cutoff,
-                "seed {seed}: tested on small graph"
-            );
         }
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! Models hold a `Box<dyn GraphEncoder>` (not `Send`), so the registry
 //! lives entirely on the executor thread; admission threads see only the
-//! [`ModelMeta`] projection.
+//! [`crate::ModelMeta`] projection.
 
 use gnn::encoder::{ConvKind, StackedEncoder};
 use gnn::{GnnModel, Readout};

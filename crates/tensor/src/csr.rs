@@ -23,7 +23,7 @@
 //! while the entry lives. Graph batches share their `edge_dst` via
 //! `Rc<Vec<usize>>`, so every layer and every epoch touching the same
 //! batch hits the same entry. The map is cleared when it exceeds
-//! [`MAX_ENTRIES`] — caches are per-thread and batches are few, so
+//! `MAX_ENTRIES` — caches are per-thread and batches are few, so
 //! clearing is simpler and is not observable in results, only in speed.
 
 use std::cell::RefCell;

@@ -9,9 +9,10 @@
 //! * [`Tape`] — an arena-based reverse-mode autodiff tape. Operations are
 //!   recorded as explicit [`ops::Op`] enum variants (no closures), each with
 //!   a hand-written, gradient-checked backward rule.
-//! * [`nn`] — neural-network layers (Linear, BatchNorm1d, Dropout, MLP,
-//!   Embedding) built on the tape.
-//! * [`optim`] — SGD (with momentum and weight decay) and Adam optimizers.
+//! * [`nn`] — neural-network layers (Linear, BatchNorm1d, Dropout, MLP)
+//!   built on the tape.
+//! * [`optim`] — the Adam optimizer (with decoupled weight decay and
+//!   gradient clipping).
 //! * [`rng`] — deterministic random utilities (Box–Muller normal sampling,
 //!   permutations) so that every experiment in the workspace is reproducible
 //!   from a single `u64` seed.

@@ -2,14 +2,12 @@
 
 mod batchnorm;
 mod dropout;
-mod embedding;
 mod linear;
 mod mlp;
 mod module;
 
 pub use batchnorm::BatchNorm1d;
 pub use dropout::Dropout;
-pub use embedding::Embedding;
 pub use linear::Linear;
 pub use mlp::Mlp;
 pub use module::{Module, Param};

@@ -164,14 +164,6 @@ impl Optimizer for Adam {
             p.clear_binding();
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -224,14 +216,6 @@ mod tests {
         assert!(last < 1e-3, "final loss {last}");
         assert!((w.value.item() - 2.0).abs() < 0.05);
         assert!((b.value.item() - 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn learning_rate_setter() {
-        let mut opt = Adam::new(0.1);
-        assert_eq!(opt.learning_rate(), 0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 
     #[test]

@@ -1,18 +1,14 @@
-//! Optimizers: SGD (with momentum) and Adam, plus gradient clipping.
+//! The Adam optimizer, plus gradient clipping.
 //!
 //! Optimizers update [`crate::nn::Param`]s from the gradients of
-//! their most recently bound tape nodes; per-parameter state (momentum
-//! buffers, Adam moments) is keyed by the parameter's stable key, so the
+//! their most recently bound tape nodes; per-parameter state (the Adam
+//! moments) is keyed by the parameter's stable key, so the
 //! same optimizer instance tracks parameters across training steps even
 //! though each step uses a fresh tape.
 
 mod adam;
-mod schedule;
-mod sgd;
 
 pub use adam::Adam;
-pub use schedule::LrSchedule;
-pub use sgd::Sgd;
 
 use crate::nn::Param;
 use crate::tape::Gradients;
@@ -24,12 +20,6 @@ pub trait Optimizer {
     /// tape's backward pass). Parameters that were never bound or received
     /// no gradient are skipped. Bindings are cleared after the step.
     fn step(&mut self, params: Vec<&mut Param>, grads: &Gradients);
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Change the learning rate (for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
 /// Global L2 norm of the gradients that reached a set of bound

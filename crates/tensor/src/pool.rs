@@ -12,8 +12,8 @@
 //! Properties the rest of the stack relies on:
 //!
 //! * **Bitwise neutrality.** A pooled buffer is either fully overwritten
-//!   before it is read ([`take_raw`]) or explicitly zero-filled
-//!   ([`take_zeroed`]), so results are bit-for-bit identical with the pool
+//!   before it is read (`take_raw`) or explicitly zero-filled
+//!   (`take_zeroed`), so results are bit-for-bit identical with the pool
 //!   on or off. The determinism suites assert this.
 //! * **Thread locality.** Each thread owns its pool; no locks, no
 //!   cross-thread recycling. The parallel kernels in [`crate::par`] write

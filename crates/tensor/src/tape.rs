@@ -113,15 +113,6 @@ impl Tape {
         self.push(value, Op::Leaf, false)
     }
 
-    /// Re-enter a node's value as a fresh constant, cutting the gradient
-    /// connection (like `detach()` in other frameworks). O(1): the
-    /// constant shares the node's copy-on-write buffer instead of copying
-    /// it.
-    pub fn detach(&mut self, id: NodeId) -> NodeId {
-        let v = self.nodes[id.0].value.clone();
-        self.constant(v)
-    }
-
     pub(crate) fn push(&mut self, value: Tensor, op: Op, needs_grad: bool) -> NodeId {
         let bytes = (value.numel() * std::mem::size_of::<f32>()) as u64;
         crate::profile::record_op(&op, value.numel(), self.nodes.len() + 1, bytes);
@@ -217,17 +208,6 @@ mod tests {
         let g = t.backward(y);
         assert_eq!(g.get(x).unwrap().item(), 5.0);
         assert!(g.get(c).is_none());
-    }
-
-    #[test]
-    fn detach_cuts_gradient() {
-        let mut t = Tape::new();
-        let x = t.leaf(Tensor::scalar(2.0));
-        let y = t.mul(x, x);
-        let yd = t.detach(y);
-        let z = t.mul(yd, x); // z = detach(x^2) * x — grad wrt x is x^2 only
-        let g = t.backward(z);
-        assert_eq!(g.get(x).unwrap().item(), 4.0);
     }
 
     #[test]

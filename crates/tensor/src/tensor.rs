@@ -341,7 +341,7 @@ impl Tensor {
     /// passing hot path (scalar, row-vector `[c]`/`[1,c]`, column-vector
     /// `[r,1]` against a `[r,c]` matrix) take vectorized slice kernels;
     /// everything else goes through the general per-index
-    /// [`BroadcastMap`]. All paths apply `f` to exactly the same operand
+    /// `BroadcastMap`. All paths apply `f` to exactly the same operand
     /// pairs, so which one runs is not observable in the result bits.
     ///
     /// # Panics

@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example weight_analysis`
 
-use ood_gnn::core::analysis::{dependence_report, weight_stats};
+use ood_gnn::core::analysis::dependence_report;
 use ood_gnn::prelude::*;
 
 fn main() {
@@ -111,10 +111,14 @@ fn main() {
         &mut rng,
     );
     let report = model.train(&bench, 5).expect("training failed");
-    let stats = weight_stats(&report.final_weights);
+    let stats = report.weight_stats;
     println!(
         "learned weights: mean {:.3} (projected to 1), std {:.3}, range [{:.3}, {:.3}], effective sample fraction {:.2}",
-        stats.mean, stats.std, stats.min, stats.max, stats.effective_sample_fraction
+        stats.mean,
+        stats.std,
+        stats.min,
+        stats.max,
+        stats.ess / report.final_weights.len() as f32
     );
     println!(
         "OOD test accuracy: {:.3} (train {:.3})",

@@ -21,6 +21,10 @@ else
     echo "== cargo clippy not installed; skipping"
 fi
 
+# Deleting an item must not leave a dangling intra-doc link behind.
+echo "== cargo doc (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet || status=1
+
 echo "== cargo test (OOD_THREADS=1, pool on)"
 OOD_THREADS=1 OOD_POOL=1 cargo test --workspace --quiet || status=1
 

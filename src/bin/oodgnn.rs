@@ -9,7 +9,6 @@
 //! oodgnn --list
 //! ```
 
-use ood_gnn::core::analysis::weight_stats;
 use ood_gnn::core::TrainCheckpoint;
 use ood_gnn::prelude::*;
 use std::collections::BTreeMap;
@@ -231,10 +230,13 @@ fn main() {
         r.train_metric, r.val_metric, r.test_metric
     );
     if reweighter.is_some() {
-        let w = weight_stats(&r.final_weights);
+        let w = r.weight_stats;
         println!(
             "learned weights: std {:.3}, range [{:.3}, {:.3}], effective sample fraction {:.2}",
-            w.std, w.min, w.max, w.effective_sample_fraction
+            w.std,
+            w.min,
+            w.max,
+            w.ess / r.final_weights.len() as f32
         );
     }
     if let Some(path) = args.get("save") {

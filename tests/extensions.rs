@@ -1,10 +1,9 @@
 //! Integration tests for the library extensions: checkpointing trained
-//! models, validation-based model selection, LR schedules and the
-//! GAT/GraphSAGE backbones.
+//! models, validation-based model selection and the GAT/GraphSAGE
+//! backbones.
 
 use ood_gnn::core::TrainCheckpoint;
 use ood_gnn::prelude::*;
-use ood_gnn::tensor::optim::LrSchedule;
 
 fn small_bench() -> OodBenchmark {
     ood_gnn::datasets::triangles::generate(&TrianglesConfig::scaled(0.02), 99)
@@ -216,28 +215,4 @@ fn oodgnn_runs_on_alternative_backbones() {
         let report = model.train(&bench, 10).expect("training failed");
         assert!(report.test_metric.is_finite(), "{kind:?}");
     }
-}
-
-#[test]
-fn lr_schedule_integrates_with_training_loop() {
-    // Hand-rolled loop using the schedule: the LR must actually change.
-    use ood_gnn::tensor::nn::Param;
-    use ood_gnn::tensor::optim::{Adam, Optimizer};
-    let mut p = Param::new(Tensor::scalar(0.0));
-    let mut opt = Adam::new(0.1);
-    let schedule = LrSchedule::StepDecay {
-        step: 2,
-        gamma: 0.1,
-    };
-    let mut rates = Vec::new();
-    for epoch in 0..4 {
-        schedule.apply(&mut opt, 0.1, epoch);
-        rates.push(opt.learning_rate());
-        let mut tape = Tape::new();
-        let x = p.bind(&mut tape);
-        let loss = tape.square(x);
-        let g = tape.backward(loss);
-        opt.step(vec![&mut p], &g);
-    }
-    assert_eq!(rates, vec![0.1, 0.1, 0.010000001, 0.010000001]);
 }
