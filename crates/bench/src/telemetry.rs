@@ -70,8 +70,9 @@ pub fn init(bin: &str, seed: u64) -> Option<PathBuf> {
 }
 
 /// Flush metrics and sinks, emit the tensor-op profile summary and the
-/// `run_summary` record (wall time, peak memory high-water marks), and
-/// print where the JSONL stream went. Call once at the end of `main`.
+/// `run_summary` record (wall time, peak memory high-water marks, the
+/// process's `VmHWM`), and print where the JSONL stream went. Call once at
+/// the end of `main`.
 pub fn finish(jsonl: &Option<PathBuf>) {
     emit_tensor_profile();
     if trace::enabled() {
@@ -85,27 +86,37 @@ pub fn finish(jsonl: &Option<PathBuf>) {
             "tensor/pool_peak_retained_bytes",
             snap.pool.peak_retained_bytes as f64,
         );
-        trace::emit_event(
-            trace::names::RUN_SUMMARY,
-            &[
-                ("wall_ms", wall_ms.into()),
-                ("peak_live_bytes", (snap.peak_live_bytes as i64).into()),
-                (
-                    "peak_retained_bytes",
-                    (snap.pool.peak_retained_bytes as i64).into(),
-                ),
-                (
-                    "telemetry_dropped_writes",
-                    trace::jsonl_dropped_writes().into(),
-                ),
-            ],
-        );
+        let mut fields: Vec<(&str, trace::Value)> = vec![
+            ("wall_ms", wall_ms.into()),
+            ("peak_live_bytes", (snap.peak_live_bytes as i64).into()),
+            (
+                "peak_retained_bytes",
+                (snap.pool.peak_retained_bytes as i64).into(),
+            ),
+            (
+                "telemetry_dropped_writes",
+                trace::jsonl_dropped_writes().into(),
+            ),
+        ];
+        if let Some(hwm) = vm_hwm_bytes() {
+            fields.push(("vm_hwm_bytes", (hwm as i64).into()));
+        }
+        trace::emit_event(trace::names::RUN_SUMMARY, &fields);
     }
     trace::metrics::flush();
     trace::detach_all();
     if let Some(path) = jsonl {
         eprintln!("telemetry: {}", path.display());
     }
+}
+
+/// Peak resident set of this process (`VmHWM` in `/proc/self/status`) in
+/// bytes, or `None` where that file is not readable.
+fn vm_hwm_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: u64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb * 1024)
 }
 
 /// Bridge the tensor crate's atomic op-profile counters into one
@@ -179,4 +190,15 @@ pub fn emit_tensor_profile() {
             ),
         ],
     );
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn vm_hwm_reads_this_process() {
+        // At least the few MiB of the test binary itself are resident.
+        let hwm = super::vm_hwm_bytes().expect("VmHWM in /proc/self/status");
+        assert!(hwm >= 1 << 20, "VmHWM {hwm} bytes");
+    }
 }

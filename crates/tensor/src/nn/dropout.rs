@@ -1,5 +1,6 @@
 //! Inverted dropout.
 
+use crate::pool;
 use crate::rng::Rng;
 use crate::tape::{NodeId, Tape};
 use crate::tensor::Tensor;
@@ -35,9 +36,12 @@ impl Dropout {
         let shape = tape.shape(x).clone();
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        let mask_data: Vec<f32> = (0..shape.numel())
-            .map(|_| if rng.bernoulli(keep) { scale } else { 0.0 })
-            .collect();
+        // The mask is the largest per-step buffer: recycle it through the
+        // pool. Every element is written, in the same RNG order.
+        let mut mask_data = pool::take_raw(shape.numel());
+        for m in &mut mask_data {
+            *m = if rng.bernoulli(keep) { scale } else { 0.0 };
+        }
         let mask = tape.constant(Tensor::from_vec(mask_data, shape));
         tape.mul(x, mask)
     }

@@ -4,10 +4,14 @@
 //! weight-optimization iteration rebuilds a tape whose node buffers are
 //! shaped exactly like the previous iteration's. Paying `malloc`/`free`
 //! (and the kernel's page-zeroing) for each of those buffers dominates the
-//! hot loop, so tensor storage is recycled instead: when a
-//! [`crate::Tensor`]'s buffer is dropped it returns to a thread-local pool
-//! bucketed by power-of-two capacity, and the next allocation of a
-//! compatible size pops it back out.
+//! hot loop, so tensor storage is recycled instead: every buffer the pool
+//! allocates has a power-of-two capacity (its *class*), and when a
+//! [`crate::Tensor`]'s buffer is dropped it returns to a thread-local
+//! bucket for that class; the next request of that class, or of the class
+//! just below it, pops it back out. The pool keeps only buffers it can
+//! hand out again: a buffer whose capacity is not exactly a class size
+//! (a `Tensor::from_vec` of caller-built data) is freed on drop, as is
+//! anything under the smallest class.
 //!
 //! Properties the rest of the stack relies on:
 //!
@@ -192,7 +196,7 @@ pub fn drain_thread_pool() {
 // ------------------------------------------------------------ the buckets
 
 struct ThreadPool {
-    /// `log2(capacity class)` -> buffers with at least that capacity, each
+    /// `log2(capacity class)` -> buffers of exactly that capacity, each
     /// tagged with the [`ThreadPool::epoch`] it was returned in.
     buckets: HashMap<u32, Vec<(Vec<f32>, u64)>>,
     /// Bytes retained by this thread (mirrored into [`RETAINED_BYTES`]).
@@ -220,19 +224,22 @@ fn request_class(n: usize) -> u32 {
     n.max(MIN_CLASS).next_power_of_two().trailing_zeros()
 }
 
-/// Class that a buffer of the given *capacity* is filed under: largest
-/// power-of-two ≤ capacity, so `capacity >= 2^class` always holds.
+/// Class that a buffer of the given *capacity* is filed under: only a
+/// capacity that is exactly a class size (a power of two ≥ `MIN_CLASS`,
+/// as [`take_raw`] allocates) has one. Any other buffer gets `None` and is
+/// freed, since no request would be served from it at its full size.
 #[inline]
 fn capacity_class(cap: usize) -> Option<u32> {
-    if cap < MIN_CLASS {
-        return None;
-    }
-    Some(usize::BITS - 1 - cap.leading_zeros())
+    (cap >= MIN_CLASS && cap.is_power_of_two()).then(|| cap.trailing_zeros())
 }
 
 /// A buffer of length `n` with unspecified contents. Callers must write
 /// every element before reading — all call sites are full `fill`/copy
 /// kernels, which is what keeps pooled and unpooled runs bitwise equal.
+///
+/// The request is served from its own class, or else from the next class
+/// up: batch sizes vary, and without the fallback each class would keep
+/// its own peak set of buffers.
 pub(crate) fn take_raw(n: usize) -> Vec<f32> {
     if n == 0 {
         return Vec::new();
@@ -244,10 +251,9 @@ pub(crate) fn take_raw(n: usize) -> Vec<f32> {
         let reused = POOL
             .try_with(|p| {
                 let mut pool = p.borrow_mut();
-                let v = pool
-                    .buckets
-                    .get_mut(&cls)
-                    .and_then(|b| b.pop())
+                let v = [cls, cls + 1]
+                    .into_iter()
+                    .find_map(|c| pool.buckets.get_mut(&c).and_then(|b| b.pop()))
                     .map(|(v, _)| v);
                 if let Some(ref v) = v {
                     let bytes = (v.capacity() * std::mem::size_of::<f32>()) as u64;
@@ -287,8 +293,9 @@ pub(crate) fn take_zeroed(n: usize) -> Vec<f32> {
     v
 }
 
-/// Return a buffer to the pool (called from tensor storage drops). Empty
-/// or undersized buffers and overflow beyond the retention caps are freed.
+/// Return a buffer to the pool (called from tensor storage drops). Buffers
+/// without a class (see [`capacity_class`]) and overflow beyond the
+/// retention caps are freed.
 pub(crate) fn give(v: Vec<f32>) {
     if !enabled() {
         return;
@@ -375,6 +382,7 @@ mod tests {
         }
         assert_eq!(capacity_class(0), None);
         assert_eq!(capacity_class(MIN_CLASS - 1), None);
+        assert_eq!(capacity_class(1000), None);
     }
 
     #[test]
@@ -498,6 +506,77 @@ mod tests {
         drain_thread_pool();
         trim_idle();
         assert_eq!(thread_pool_view(0).1, 0, "trimming an empty pool");
+        set_enabled(was);
+    }
+
+    #[test]
+    fn buffers_without_a_class_are_freed() {
+        let _guard = lock();
+        let was = set_enabled(true);
+        drain_thread_pool();
+        // Exact-size storage, as `Tensor::from_vec` of caller-built data has.
+        let v = vec![1.0f32; 1000];
+        assert_eq!(v.capacity(), 1000);
+        give(v);
+        let (_, retained, bucketed) = thread_pool_view(0);
+        assert_eq!((retained, bucketed), (0, 0), "the buffer was freed");
+        // With the pool empty, the next request can only be a miss.
+        let before = stats();
+        let v = take_raw(1000);
+        assert!(stats().misses > before.misses);
+        assert_eq!(v.capacity(), 1024, "fresh buffers get a class size");
+        set_enabled(was);
+    }
+
+    #[test]
+    fn an_empty_class_falls_back_one_class_up_only() {
+        let _guard = lock();
+        let was = set_enabled(true);
+        drain_thread_pool();
+        // One class up (2048 for a 1000-element request) serves the request.
+        let up_one = take_raw(2000);
+        let ptr = up_one.as_ptr();
+        give(up_one);
+        let v = take_raw(1000);
+        assert_eq!(v.as_ptr(), ptr, "served from the next class up");
+        assert_eq!(v.len(), 1000);
+        drop(v);
+        drain_thread_pool();
+        // Two classes up (4096) does not: that buffer stays filed.
+        let up_two = take_raw(4000);
+        let ptr = up_two.as_ptr();
+        give(up_two);
+        let v = take_raw(1000);
+        assert_ne!(v.as_ptr(), ptr);
+        assert_eq!(thread_pool_view(4000).0, 1, "two classes up is kept");
+        drain_thread_pool();
+        set_enabled(was);
+    }
+
+    #[test]
+    fn replaying_two_batch_sizes_retains_a_fixed_set() {
+        let _guard = lock();
+        let was = set_enabled(true);
+        drain_thread_pool();
+        // One "step" per round, alternating batch sizes: exact-size inputs
+        // built with `from_vec`, then pooled intermediates on top of them.
+        let step = |rows: usize| {
+            let x = Tensor::from_vec(vec![0.5; rows * 10], [rows, 10]);
+            let h = x.mul_scalar(2.0).add(&x);
+            let y = h.sum_rows().add_scalar(1.0);
+            assert!(y.data().iter().all(|&v| v == 1.0 + 1.5 * rows as f32));
+        };
+        let mut after = Vec::new();
+        for round in 0..40 {
+            step(if round % 2 == 0 { 100 } else { 300 });
+            after.push(thread_pool_view(0).1);
+        }
+        assert!(after[1] > 0, "the pooled intermediates were kept");
+        assert!(
+            after[1..].iter().all(|&b| b == after[1]),
+            "retained bytes grew after round 2: {after:?}"
+        );
+        drain_thread_pool();
         set_enabled(was);
     }
 

@@ -88,6 +88,7 @@ if [ "${#gate_traces[@]}" -eq 2 ]; then
     for gate_trace in "${gate_traces[@]}"; do
         grep -q '"name":"tensor_memory"' "$gate_trace" || status=1
         grep -q '"name":"run_manifest"' "$gate_trace" || status=1
+        grep -q '"vm_hwm_bytes"' "$gate_trace" || status=1
     done
 else
     echo "perf_gate: expected the t=1 and t=4 traces, found ${#gate_traces[@]}" >&2
