@@ -174,8 +174,37 @@ fn cases() -> Vec<Case> {
         });
     }
 
+    // GIN's fused aggregation forward and backward on the same graph:
+    // `x·(ε+1)` plus the neighbour sum in one row pass, then `gx` through
+    // the `src` index and the `gε` fold.
+    {
+        let mut rng = Rng::seed_from(16);
+        let x = Tensor::randn([5400, 32], &mut rng);
+        let src = Rc::new((0..27_000).map(|_| rng.below(5400)).collect::<Vec<_>>());
+        let dst = Rc::new((0..27_000).map(|_| rng.below(5400)).collect::<Vec<_>>());
+        let g = Tensor::randn([5400, 32], &mut rng);
+        v.push(Case {
+            name: "gin_aggregate_5400x32",
+            run: Box::new(move || {
+                let mut tape = Tape::new();
+                let xn = tape.leaf(x.clone());
+                let en = tape.leaf(Tensor::from_vec(vec![0.1], [1]));
+                let y = tape.gin_aggregate(xn, en, src.clone(), dst.clone(), 5400);
+                let gc = tape.constant(g.clone());
+                let prod = tape.mul(y, gc);
+                let loss = tape.sum(prod);
+                let grads = tape.backward(loss);
+                let mut out = tape.value(y).data().to_vec();
+                for id in [xn, en] {
+                    out.extend_from_slice(grads.get(id).expect("leaf gradient").data());
+                }
+                out
+            }),
+        });
+    }
+
     // Fused batch norm on a D&D-sized GIN hidden layer: the batch
-    // statistics (16-column blocks, ascending rows, `powf` squares) and
+    // statistics (16-column blocks, ascending rows, `x·x` squares) and
     // the row-parallel normalization.
     {
         let mut rng = Rng::seed_from(13);

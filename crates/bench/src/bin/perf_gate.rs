@@ -27,6 +27,10 @@
 //!                       shared-runner noise; 0 disables wall-time gating
 //!                       entirely and checks only deterministic metrics)
 //!   --update            write the measured metrics as the new baseline
+//!                       (implies --record)
+//!   --record            append the trajectory line to the tracked
+//!                       results/BENCH_trajectory.jsonl instead of
+//!                       target/bench-results/
 //!   --inject-slow       synthetic wall-time regression (self-test)
 //!   --inject-alloc      synthetic allocation spike (self-test)
 //! ```
@@ -135,6 +139,7 @@ fn result_checksum(report: &OodGnnReport) -> u64 {
 fn main() {
     let args = Args::from_env();
     let update = args.get_bool("update", false);
+    let record_results = update || args.get_bool("record", false);
     let tolerance = args.get_f32("tolerance", 1.0) as f64;
     let inject_slow = args.get_bool("inject-slow", false);
     let inject_alloc = args.get_bool("inject-alloc", false);
@@ -392,9 +397,7 @@ fn main() {
         current.set(&format!("{key}_bytes_reused"), r.bytes_reused as f64);
     }
     current.set_meta("verdict", if failures.is_empty() { "pass" } else { "fail" });
-    if let Err(e) = current.append_to_trajectory("results/BENCH_trajectory.jsonl") {
-        eprintln!("perf_gate: cannot append trajectory: {e}");
-    }
+    current.persist(None, record_results);
     trace::emit_event(
         names::PERF_GATE,
         &[

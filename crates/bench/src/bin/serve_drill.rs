@@ -33,7 +33,11 @@
 //! and must produce digests bitwise-identical to the in-process (stdio)
 //! path at `OOD_THREADS={1,4}`, with connection shed / slow-client /
 //! disconnect counts asserted exactly. Its verdict lands in
-//! `results/serve_drill_socket.json`.
+//! `serve_drill_socket.json`.
+//!
+//! Both modes write their verdict file and a `BENCH_trajectory.jsonl` line
+//! under `target/bench-results/`, or under the tracked `results/` when
+//! given `--record`.
 
 use datasets::triangles::{generate, TrianglesConfig};
 use gnn::models::ModelConfig;
@@ -237,6 +241,12 @@ fn start_server(spec: &ModelSpec, ck: &Path, config: ServeConfig) -> Server {
         vec![("default".into(), spec.clone(), ck.to_path_buf())],
     )
     .expect("server starts")
+}
+
+/// `--record`: write the verdict under the tracked `results/` (see
+/// `bench::perf::results_dir`).
+fn record_flag() -> bool {
+    std::env::args().any(|a| a == "--record")
 }
 
 fn main() {
@@ -637,12 +647,7 @@ fn main() {
     metrics.set("stage_attribution_pct", attribution * 100.0);
     metrics.set_meta("threads", launch_threads.to_string());
     metrics.set_meta("pool", tensor::pool::enabled().to_string());
-    if let Err(e) = metrics.save("results/serve_drill.json") {
-        eprintln!("cannot save results/serve_drill.json: {e}");
-    }
-    if let Err(e) = metrics.append_to_trajectory("results/BENCH_trajectory.jsonl") {
-        eprintln!("cannot append trajectory: {e}");
-    }
+    metrics.persist(Some("serve_drill.json"), record_flag());
 
     std::fs::remove_dir_all(&dir).ok();
     bench::telemetry::finish(&jsonl);
@@ -1067,12 +1072,7 @@ fn socket_drill() {
     metrics.set("qps", qps);
     metrics.set_meta("threads", launch_threads.to_string());
     metrics.set_meta("pool", tensor::pool::enabled().to_string());
-    if let Err(e) = metrics.save("results/serve_drill_socket.json") {
-        eprintln!("cannot save results/serve_drill_socket.json: {e}");
-    }
-    if let Err(e) = metrics.append_to_trajectory("results/BENCH_trajectory.jsonl") {
-        eprintln!("cannot append trajectory: {e}");
-    }
+    metrics.persist(Some("serve_drill_socket.json"), record_flag());
 
     std::fs::remove_dir_all(&dir).ok();
     bench::telemetry::finish(&jsonl);

@@ -20,6 +20,18 @@ use trace::Value;
 /// Format-version stamp written into every metric file.
 pub const METRIC_SCHEMA_VERSION: i64 = 1;
 
+/// Where the drills and gates write their result files: the tracked
+/// `results/` only for a run given `--record` (one whose numbers are
+/// committed), `target/bench-results/` otherwise, so a routine check
+/// leaves the working tree clean.
+pub fn results_dir(record: bool) -> &'static str {
+    if record {
+        "results"
+    } else {
+        "target/bench-results"
+    }
+}
+
 /// A flat set of named metrics plus string metadata.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricFile {
@@ -131,8 +143,26 @@ impl MetricFile {
         Self::from_json(&text)
     }
 
+    /// Write the record where [`results_dir`] says: as `<file>` (when
+    /// given) and as one more line of `BENCH_trajectory.jsonl`. A failed
+    /// write is reported on stderr and does not fail the run.
+    pub fn persist(&self, file: Option<&str>, record: bool) {
+        let dir = Path::new(results_dir(record));
+        if let Some(file) = file {
+            if let Err(e) = self.save(dir.join(file)) {
+                eprintln!("cannot save {}/{file}: {e}", dir.display());
+            }
+        }
+        if let Err(e) = self.append_to_trajectory(dir.join("BENCH_trajectory.jsonl")) {
+            eprintln!(
+                "cannot append {}/BENCH_trajectory.jsonl: {e}",
+                dir.display()
+            );
+        }
+    }
+
     /// Append this record as one JSON line to a trajectory file (the
-    /// run-over-run history `perf_gate` accumulates under `results/`).
+    /// run-over-run history under [`results_dir`]).
     pub fn append_to_trajectory(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         let path = path.as_ref();
         if let Some(parent) = path.parent() {

@@ -228,6 +228,23 @@ mod tests {
     }
 
     #[test]
+    fn gradcheck_gin_aggregate() {
+        // The same graph as `gradcheck_neighbor_sum`, with ε a leaf too.
+        let x = rand([5, 3], 11);
+        let eps = Tensor::from_vec(vec![0.3], [1]);
+        let w = rand([5, 3], 12);
+        let src = Rc::new(vec![0usize, 0, 1, 2, 3]);
+        let dst = Rc::new(vec![1usize, 1, 0, 2, 2]);
+        assert_gradients(&[x, eps], 1e-2, 2e-2, move |t, ids| {
+            let agg = t.gin_aggregate(ids[0], ids[1], src.clone(), dst.clone(), 5);
+            let weights = t.constant(w.clone());
+            let h = t.mul(agg, weights);
+            let h = t.tanh(h);
+            t.sum(h)
+        });
+    }
+
+    #[test]
     fn gradcheck_axis_reductions() {
         let x = rand([3, 4], 8);
         assert_gradients(std::slice::from_ref(&x), 1e-2, 2e-2, |t, ids| {

@@ -12,10 +12,8 @@
 //!   columns over the rows in ascending order, starting from `+0.0`. That
 //!   is the order `sum_rows` and the backward column folds use, and it
 //!   does not depend on the thread count.
-//! * The square stays `powf(x − μ, 2)` with a runtime exponent, as the
-//!   chain's `pow_scalar` computed it: `powf(x, 2)` and `x · x` round
-//!   differently on some inputs, and a literal exponent would let the
-//!   compiler rewrite one into the other.
+//! * Squares are `x · x`: the variance adds `(x − μ)·(x − μ)`, as the
+//!   chain's `square` computes it.
 //! * In the backward pass, the two gradients that reached `x − μ` and
 //!   `x` on the tape are summed in the order the tape's `axpy` summed
 //!   them.
@@ -44,13 +42,12 @@ pub struct BatchNormStats {
 
 impl BatchNormStats {
     /// Batch statistics of `x: [n, d]` (training mode): per column
-    /// `μ = (Σx)·inv`, the biased `var = (Σ powf(x − μ, 2))·inv` and
+    /// `μ = (Σx)·inv`, the biased `var = (Σ (x − μ)·(x − μ))·inv` and
     /// `σ = sqrt(var + eps)`, with `inv = 1/max(n, 1)`. Gradients flow
     /// through them.
     pub fn of_batch(x: &Tensor, eps: f32) -> Self {
         let (n, d) = x.shape().as_matrix();
         let inv = inv_rows(n);
-        let two = std::hint::black_box(2.0f32);
         let mut mean = vec![0.0f32; d];
         let mut var = vec![0.0f32; d];
         let (mp, vp) = (SendPtr(mean.as_mut_ptr()), SendPtr(var.as_mut_ptr()));
@@ -70,7 +67,8 @@ impl BatchNormStats {
             }
             for i in 0..n {
                 for ((v, &m), &xv) in vr.iter_mut().zip(mu.iter()).zip(&x.row(i)[j0..j0 + w]) {
-                    *v += (xv - m).powf(two);
+                    let d = xv - m;
+                    *v += d * d;
                 }
             }
             for v in vr.iter_mut() {

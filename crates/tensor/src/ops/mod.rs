@@ -70,7 +70,7 @@ pub enum Op {
     AddScalar(NodeId, f32),
     /// Multiply by a scalar constant.
     MulScalar(NodeId, f32),
-    /// Raise to a scalar power.
+    /// Raise to a scalar power; a square is computed as `x · x`.
     PowScalar(NodeId, f32),
     /// Dense 2-D matrix product.
     Matmul(NodeId, NodeId),
@@ -115,6 +115,11 @@ pub enum Op {
     /// rows — `IndexSelect(src)` then `ScatterAddRows(dst)` without the
     /// `[E, c]` message tensor.
     NeighborSum(NodeId, Rc<Vec<usize>>, Rc<Vec<usize>>, usize),
+    /// GIN's aggregation `x·(ε+1) + Σ_{e: dst[e]=s} x[src[e]]` of
+    /// `x: [n, c]` with a one-element `ε` — the `neighbor_sum → add_scalar
+    /// → mul → add` chain as one op, its forward and `gx` bitwise-equal to
+    /// the chain's. See [`Tape::gin_aggregate`].
+    GinAggregate(NodeId, NodeId, Rc<Vec<usize>>, Rc<Vec<usize>>, usize),
     /// Per-segment max over rows (empty segments produce 0).
     SegmentMax(NodeId, Rc<Vec<usize>>, usize),
     /// Per-segment min over rows (empty segments produce 0).
@@ -150,7 +155,8 @@ impl Op {
             | Op::Mul(a, b)
             | Op::Div(a, b)
             | Op::Matmul(a, b)
-            | Op::WeightedCenter(a, b) => {
+            | Op::WeightedCenter(a, b)
+            | Op::GinAggregate(a, b, _, _, _) => {
                 vec![*a, *b]
             }
             Op::Neg(a)
@@ -195,6 +201,7 @@ impl Op {
             Op::Neg(a) => v(a).map(|x| -x),
             Op::AddScalar(a, c) => v(a).add_scalar(*c),
             Op::MulScalar(a, c) => v(a).mul_scalar(*c),
+            Op::PowScalar(a, p) if *p == 2.0 => v(a).map(|x| x * x),
             Op::PowScalar(a, p) => v(a).map(|x| x.powf(*p)),
             Op::Matmul(a, b) => v(a).matmul(v(b)),
             Op::Linear(x, w, b) => v(x).matmul_bias(v(w), Some(v(b))),
@@ -228,6 +235,10 @@ impl Op {
             Op::IndexSelect(a, idx) => v(a).index_select_rows(idx),
             Op::ScatterAddRows(a, idx, n) => v(a).scatter_add_rows_csr(&csr::cached(idx, *n)),
             Op::NeighborSum(a, src, dst, n) => v(a).gather_scatter_csr(src, &csr::cached(dst, *n)),
+            Op::GinAggregate(x, eps, src, dst, n) => {
+                let scale = v(eps).item() + 1.0;
+                v(x).gather_scatter_csr_plus_self(src, &csr::cached(dst, *n), Some(scale))
+            }
             Op::SegmentMax(a, seg, n) => segment_extreme(v(a), &csr::cached(seg, *n), true).0,
             Op::SegmentMin(a, seg, n) => segment_extreme(v(a), &csr::cached(seg, *n), false).0,
             Op::LogSoftmax(a) => log_softmax(v(a)),
@@ -395,6 +406,20 @@ impl Op {
                 // collects grad[dst[e]] over the edges leaving it.
                 let n = v(a).nrows();
                 vec![(*a, grad.gather_scatter_csr(dst, &csr::cached(src, n)))]
+            }
+            Op::GinAggregate(x, eps, src, dst, n) => {
+                // `gx` is the forward kernel on `grad` with the roles of
+                // `src` and `dst` swapped; `gε = Σ g·x`.
+                let (vx, ve) = (v(x), v(eps));
+                tape.operand_grads([
+                    (*x, &|| {
+                        let scale = ve.item() + 1.0;
+                        grad.gather_scatter_csr_plus_self(dst, &csr::cached(src, *n), Some(scale))
+                    }),
+                    (*eps, &|| {
+                        Tensor::from_vec(vec![dot(grad, vx)], ve.shape().clone())
+                    }),
+                ])
             }
             Op::SegmentMax(a, seg, n) => {
                 vec![(
@@ -731,6 +756,20 @@ pub fn scaled_masked_sq_sum(x: &Tensor, mask: &Tensor, scale: f32) -> f32 {
     .unwrap_or(0.0)
 }
 
+/// `Σ a·b` over two same-shaped tensors as a chunked tree reduction
+/// (deterministic at any thread count).
+fn dot(a: &Tensor, b: &Tensor) -> f32 {
+    let (ad, bd) = (a.data(), b.data());
+    par::map_reduce(
+        ad.len(),
+        4096,
+        Kernel::Reduce,
+        |range| simd::dot(&ad[range.clone()], &bd[range]),
+        |x, y| x + y,
+    )
+    .unwrap_or(0.0)
+}
+
 /// Backward of [`scaled_masked_sq_sum`] for an incoming scalar gradient
 /// `g`: `gx = g · 2·scale²·x ⊙ mask²`.
 pub fn scaled_masked_sq_sum_grad(x: &Tensor, mask: &Tensor, scale: f32, g: f32) -> Tensor {
@@ -861,7 +900,8 @@ impl Tape {
         self.record(Op::PowScalar(a, p))
     }
 
-    /// Element-wise square (`pow_scalar(a, 2)` with an exact backward).
+    /// Element-wise square `a · a` (`pow_scalar(a, 2)`, whose forward
+    /// multiplies instead of calling `powf`, with an exact backward).
     pub fn square(&mut self, a: NodeId) -> NodeId {
         self.pow_scalar(a, 2.0)
     }
@@ -1038,6 +1078,54 @@ impl Tape {
     ) -> NodeId {
         assert_eq!(src.len(), dst.len(), "neighbor_sum src/dst length mismatch");
         self.record(Op::NeighborSum(a, src, dst, num_rows))
+    }
+
+    /// GIN's aggregation `x·(ε+1) + Σ_{e: dst[e]=s} x[src[e]]` for
+    /// `x: [num_rows, c]` and a one-element `ε`, in one row pass that
+    /// writes one `[num_rows, c]` tensor.
+    ///
+    /// The forward value and `gx` are bitwise-equal to the chain
+    /// `combined = add(mul(x, add_scalar(ε, 1)), neighbor_sum(x, src,
+    /// dst))` that `GinConv` recorded before:
+    ///
+    /// * forward, each row folds `x[src[e]]` over its `dst`-CSR row in
+    ///   ascending `e` from `+0.0`, exactly as [`Tape::neighbor_sum`]
+    ///   does, and then becomes `x[s]·(ε+1) + sum`;
+    /// * `gx` is `g·(ε+1) + Σ g[dst[e]]` over the `src`-CSR row: the
+    ///   chain's `mul` term reached `x` first in the reverse sweep and
+    ///   `neighbor_sum`'s term was added to it;
+    /// * `gε` is `Σ g·x`, a chunked tree reduction like every other
+    ///   parallel sum (the chain's `mul` folded it in one sequential pass).
+    ///
+    /// The fusion is exact only while `x` has no consumer besides this
+    /// op: a second consumer's gradient would reach `x` before the fused
+    /// sum instead of between the chain's two terms. Every `GinConv`
+    /// input is the output of an input projection, of a dropout or of a
+    /// virtual-node broadcast, and feeds only that layer.
+    pub fn gin_aggregate(
+        &mut self,
+        x: NodeId,
+        eps: NodeId,
+        src: Rc<Vec<usize>>,
+        dst: Rc<Vec<usize>>,
+        num_rows: usize,
+    ) -> NodeId {
+        assert_eq!(
+            src.len(),
+            dst.len(),
+            "gin_aggregate src/dst length mismatch"
+        );
+        assert_eq!(
+            self.shape(x).as_matrix().0,
+            num_rows,
+            "gin_aggregate: x rows vs {num_rows} output rows"
+        );
+        assert_eq!(
+            self.shape(eps).numel(),
+            1,
+            "gin_aggregate: ε must be one element"
+        );
+        self.record(Op::GinAggregate(x, eps, src, dst, num_rows))
     }
 
     /// Message-passing mean: [`Tape::neighbor_sum`] divided by each

@@ -14,7 +14,7 @@ use crate::ops::Op;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of [`Op`] kinds tracked (one counter per enum variant).
-pub const N_OPS: usize = 36;
+pub const N_OPS: usize = 37;
 
 /// Display names, indexed like the per-op counters.
 pub const OP_NAMES: [&str; N_OPS] = [
@@ -54,6 +54,7 @@ pub const OP_NAMES: [&str; N_OPS] = [
     "neighbor_sum",
     "linear",
     "batch_norm",
+    "gin_aggregate",
 ];
 
 pub(crate) fn op_kind(op: &Op) -> usize {
@@ -94,6 +95,7 @@ pub(crate) fn op_kind(op: &Op) -> usize {
         Op::NeighborSum(..) => 33,
         Op::Linear(..) => 34,
         Op::BatchNorm(..) => 35,
+        Op::GinAggregate(..) => 36,
     }
 }
 

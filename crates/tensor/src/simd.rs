@@ -214,6 +214,11 @@ pub fn sum(xs: &[f32]) -> f32 {
     lane_fold(xs, 0.0, |x| x, |a, b| a + b)
 }
 
+/// `Σ x·y` under the fixed lane schedule.
+pub fn dot(xs: &[f32], ys: &[f32]) -> f32 {
+    lane_fold2(xs, ys, 0.0, |x, y| x * y, |a, b| a + b)
+}
+
 /// Sum of squares under the fixed lane schedule.
 pub fn sq_sum(xs: &[f32]) -> f32 {
     lane_fold(xs, 0.0, |x| x * x, |a, b| a + b)
@@ -520,6 +525,7 @@ mod tests {
             let masked = terms(&|i| (0.7 * xs[i] * m[i]) * (0.7 * xs[i] * m[i]));
             let shifted = terms(&|i| (xs[i] - mx).exp());
             let centered = terms(&|i| xs[i] * (m[i] - xs[i]));
+            let prods = terms(&|i| xs[i] * m[i]);
             let add = |a: f32, b: f32| a + b;
             let cases = [
                 ("sum", sum(&xs), reference_fold(&xs, 0.0, add)),
@@ -540,6 +546,7 @@ mod tests {
                     center_dot(&xs, &m, &xs),
                     reference_fold(&centered, 0.0, add),
                 ),
+                ("dot", dot(&xs, &m), reference_fold(&prods, 0.0, add)),
             ];
             for (name, got, want) in cases {
                 assert_eq!(

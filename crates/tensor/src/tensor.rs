@@ -703,7 +703,7 @@ impl Tensor {
     pub fn scatter_add_rows_csr(&self, csr: &crate::csr::CsrIndex) -> Tensor {
         let (r, _) = self.shape.as_matrix();
         assert_eq!(r, csr.num_items(), "scatter_add rows/index mismatch");
-        self.csr_row_sums(csr, |i| i)
+        self.csr_row_sums(csr, |i| i, None)
     }
 
     /// Gather-then-scatter through a CSR index without materializing the
@@ -712,25 +712,49 @@ impl Tensor {
     /// exactly, this is bitwise `index_select_rows(from)` followed by
     /// [`Tensor::scatter_add_rows_csr`], at any thread count.
     pub fn gather_scatter_csr(&self, from: &[usize], csr: &crate::csr::CsrIndex) -> Tensor {
+        self.gather_scatter_csr_plus_self(from, csr, None)
+    }
+
+    /// [`Tensor::gather_scatter_csr`] with GIN's self term: with
+    /// `self_scale = Some(k)`, each summed row `s` then becomes
+    /// `self[s]·k + row` in the same pass, which is bitwise
+    /// `mul_scalar(k).add(&gather_scatter_csr(from, csr))`.
+    pub fn gather_scatter_csr_plus_self(
+        &self,
+        from: &[usize],
+        csr: &crate::csr::CsrIndex,
+        self_scale: Option<f32>,
+    ) -> Tensor {
         assert_eq!(
             from.len(),
             csr.num_items(),
             "gather/scatter length mismatch"
         );
         let r = self.nrows();
-        self.csr_row_sums(csr, |e| {
-            let i = from[e];
-            assert!(i < r, "index {i} out of range for {r} rows");
-            i
-        })
+        assert!(
+            self_scale.is_none() || r == csr.num_rows(),
+            "self term: {r} rows for {} outputs",
+            csr.num_rows()
+        );
+        self.csr_row_sums(
+            csr,
+            |e| {
+                let i = from[e];
+                assert!(i < r, "index {i} out of range for {r} rows");
+                i
+            },
+            self_scale,
+        )
     }
 
     /// The CSR aggregation body: output row `s` folds `self[row_of(e)]`
-    /// for `e ∈ csr.row(s)` in ascending `e`, starting from `+0.0`.
+    /// for `e ∈ csr.row(s)` in ascending `e`, starting from `+0.0`; with
+    /// `self_scale = Some(k)` the row then becomes `self[s]·k + row`.
     fn csr_row_sums(
         &self,
         csr: &crate::csr::CsrIndex,
         row_of: impl Fn(usize) -> usize + Sync,
+        self_scale: Option<f32>,
     ) -> Tensor {
         let c = self.ncols();
         let num_rows = csr.num_rows();
@@ -746,6 +770,16 @@ impl Tensor {
                 for &e in csr.row(s) {
                     let i = row_of(e);
                     simd::add_assign(out_row, &self.data[i * c..(i + 1) * c]);
+                }
+                if let Some(k) = self_scale {
+                    for (o, &v) in out_row.iter_mut().zip(&self.data[s * c..(s + 1) * c]) {
+                        // The self term is the left operand, as in the
+                        // `add(mul(x, k), sum)` chain this replaces.
+                        #[allow(clippy::assign_op_pattern)]
+                        {
+                            *o = v * k + *o;
+                        }
+                    }
                 }
             },
         );

@@ -1,14 +1,20 @@
-//! Bitwise oracles for the fused GIN update ops: [`Tape::batch_norm`]
-//! (recorded by `BatchNorm1d`) and [`Tape::linear`] (recorded by
-//! `Linear`) must equal the unfused tape chains they replace bit for bit —
+//! Bitwise oracles for the fused GIN ops: [`Tape::gin_aggregate`]
+//! (recorded by `GinConv`), [`Tape::batch_norm`] (recorded by
+//! `BatchNorm1d`) and [`Tape::linear`] (recorded by `Linear`) must equal
+//! the unfused tape chains they replace bit for bit —
 //! forward values, running statistics and every gradient — in training
 //! and evaluation mode, across `OOD_THREADS` {1,2,4} × `OOD_POOL` {0,1}.
 //! The unfused chains live only here, as the reference.
 //!
+//! The one exception is GIN's `gε`, a chunked tree reduction where the
+//! chain folded sequentially: it must agree with the chain to rounding and
+//! be bitwise-identical at every configuration.
+//!
 //! The inputs carry the cases that break a near-miss: NaN and ±∞ in `x`
 //! and in the incoming gradient (so `Aᵀ·G` takes its zero-skipping path),
 //! exact zeros in `x`, and a column whose deviation from its mean is
-//! `1.0844669e-19`, where `powf(x, 2)` and `x · x` round differently.
+//! `1.0844669e-19`, where `powf(x, 2)` and `x · x` round differently, so a
+//! fused op and a chain that square differently disagree there.
 
 use ood_tensor::check::assert_gradients;
 use ood_tensor::nn::{BatchNorm1d, Module};
@@ -262,13 +268,13 @@ fn batch_norm_equals_the_unfused_chain_bitwise() {
 }
 
 #[test]
-fn batch_norm_variance_keeps_powf() {
-    // Two rows ±δ: μ = 0, and the biased variance is powf(δ, 2), not δ·δ.
+fn batch_norm_variance_squares_by_multiplying() {
+    // Two rows ±δ: μ = 0, and the biased variance is built from δ·δ, not
+    // from powf(δ, 2).
     let x = Tensor::from_vec(vec![POWF_TRAP, -POWF_TRAP], [2, 1]);
     let stats = BatchNormStats::of_batch(&x, EPS);
     assert_eq!(stats.mean(), &[0.0]);
-    let two = std::hint::black_box(2.0f32);
-    let want = (POWF_TRAP.powf(two) + POWF_TRAP.powf(two)) * 0.5;
+    let want = (POWF_TRAP * POWF_TRAP + POWF_TRAP * POWF_TRAP) * 0.5;
     assert_eq!(stats.var()[0].to_bits(), want.to_bits());
 }
 
@@ -402,6 +408,107 @@ fn constant_operands_get_no_gradient() {
     let grads = tape.backward(loss);
     assert!(grads.get(x).is_none() && grads.get(mask).is_none());
     assert!(grads.get(w).is_some() && grads.get(b).is_some());
+}
+
+/// A random `n`-node edge list with repeated edges, self-loops and
+/// isolated nodes (every fifth node has no edge).
+fn gin_edges(n: usize, rng: &mut Rng) -> (Rc<Vec<usize>>, Rc<Vec<usize>>) {
+    let linked: Vec<usize> = (0..n).filter(|i| i % 5 != 4).collect();
+    let pick = |rng: &mut Rng| linked[rng.below(linked.len())];
+    let (mut src, mut dst) = (Vec::new(), Vec::new());
+    for _ in 0..2 * linked.len() {
+        let (s, d) = (pick(rng), pick(rng));
+        src.push(s);
+        dst.push(d);
+        if rng.below(4) == 0 {
+            src.push(s);
+            dst.push(d);
+        }
+    }
+    (Rc::new(src), Rc::new(dst))
+}
+
+/// Forward value and `gx` of GIN's aggregation, then `gε`, fused or as
+/// the `neighbor_sum → add_scalar → mul → add` chain `GinConv` recorded
+/// before the fusion.
+fn gin_run(
+    x: &Tensor,
+    eps: f32,
+    (src, dst): &(Rc<Vec<usize>>, Rc<Vec<usize>>),
+    g: &Tensor,
+    fused: bool,
+) -> (Vec<f32>, f32) {
+    let n = x.nrows();
+    let mut tape = Tape::new();
+    let xn = tape.leaf(x.clone());
+    let (en, out) = if fused {
+        let en = tape.leaf(Tensor::from_vec(vec![eps], [1]));
+        (en, tape.gin_aggregate(xn, en, src.clone(), dst.clone(), n))
+    } else {
+        let agg = tape.neighbor_sum(xn, src.clone(), dst.clone(), n);
+        let en = tape.leaf(Tensor::from_vec(vec![eps], [1]));
+        let one_plus_eps = tape.add_scalar(en, 1.0);
+        let scaled = tape.mul(xn, one_plus_eps);
+        (en, tape.add(scaled, agg))
+    };
+    let loss = seeded_loss(&mut tape, out, g);
+    let grads = tape.backward(loss);
+    let mut all = tape.value(out).data().to_vec();
+    all.extend_from_slice(grads.get(xn).unwrap().data());
+    (all, grads.get(en).unwrap().item())
+}
+
+#[test]
+fn gin_aggregate_equals_the_unfused_chain_bitwise() {
+    let mut rng = Rng::seed_from(78);
+    let mut cases = Vec::new();
+    for n in NS {
+        for c in DS {
+            for special in [false, true] {
+                let mut x = Tensor::randn([n, c], &mut rng).mul_scalar(3.0);
+                if special && n > 2 {
+                    let data = x.data_mut();
+                    data[c - 1] = f32::NAN;
+                    data[c] = f32::INFINITY;
+                    data[2 * c - 1] = f32::NEG_INFINITY;
+                    data[(n - 1) * c] = -0.0;
+                }
+                let eps = [0.0, 0.37, -1.0, -0.6][cases.len() % 4];
+                let edges = gin_edges(n, &mut rng);
+                let g = upstream(n, c, special, &mut rng);
+                cases.push((n, c, special, x, eps, edges, g));
+            }
+        }
+    }
+    let first_g_eps = std::cell::RefCell::new(Vec::new());
+    across_grid(|cfg| {
+        let mut g_eps = Vec::new();
+        for (n, c, special, x, eps, edges, g) in &cases {
+            let what = format!("{cfg} n={n} c={c} ε={eps} special={special}");
+            let (fused, fused_g_eps) = gin_run(x, *eps, edges, g, true);
+            let (chain, chain_g_eps) = gin_run(x, *eps, edges, g, false);
+            assert_bits(&what, &fused, &chain);
+            // Σ|g·x| bounds the rounding of either summation order.
+            let scale: f32 = g
+                .data()
+                .iter()
+                .zip(x.data())
+                .map(|(a, b)| (a * b).abs())
+                .sum();
+            assert!(
+                (fused_g_eps.is_nan() && chain_g_eps.is_nan())
+                    || (fused_g_eps - chain_g_eps).abs() <= 1e-5 * scale.max(1.0),
+                "{what}: gε {fused_g_eps} (fused) vs {chain_g_eps} (chain)"
+            );
+            g_eps.push(fused_g_eps);
+        }
+        let mut first = first_g_eps.borrow_mut();
+        if first.is_empty() {
+            *first = g_eps;
+        } else {
+            assert_bits(&format!("{cfg} gε across configurations"), &g_eps, &first);
+        }
+    });
 }
 
 #[test]

@@ -6,6 +6,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 status=0
+# Drills and gates write under target/ unless given --record, so the run
+# must leave the tracked files exactly as it found them (status and
+# content, so an append to an already-modified file counts too).
+tree_state() { { git status --porcelain && git diff | cksum; } 2>/dev/null || true; }
+tree_before=$(tree_state)
 
 if cargo fmt --version >/dev/null 2>&1; then
     echo "== cargo fmt --check"
@@ -49,7 +54,7 @@ if [ -n "$sock_trace" ]; then
     grep -q '"name":"serve_conn_open"' "$sock_trace" || status=1
     grep -q '"name":"serve_conn_close"' "$sock_trace" || status=1
     grep -q '"name":"serve_conn_shed"' "$sock_trace" || status=1
-    test -s results/serve_drill_socket.json || status=1
+    test -s target/bench-results/serve_drill_socket.json || status=1
 else
     echo "serve_drill: no recorded socket-mode trace found" >&2
     status=1
@@ -103,6 +108,13 @@ fi
 
 echo "== trace report smoke (span attribution covers >= 95% of wall)"
 cargo run -p bench --release --bin trace_report -- --min-coverage 95 --out - >/dev/null || status=1
+
+echo "== working tree unchanged by the checks"
+if [ "$(tree_state)" != "$tree_before" ]; then
+    echo "check.sh: the checks modified tracked files:" >&2
+    git status --short >&2
+    status=1
+fi
 
 if [ "$status" -ne 0 ]; then
     echo "check.sh: FAILED" >&2
