@@ -23,7 +23,7 @@ use tensor::fnv::Fnv1a;
 use tensor::ops::{batch_norm, BatchNormStats};
 use tensor::rng::Rng;
 use tensor::shape::reduce_grad_to;
-use tensor::{par, Shape, Tape, Tensor};
+use tensor::{par, NodeId, Shape, Tape, Tensor};
 
 /// Thread counts every kernel runs at.
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -43,6 +43,20 @@ fn digest(values: &[f32]) -> u64 {
         h.write(&v.to_bits().to_le_bytes());
     }
     h.finish()
+}
+
+/// `y`'s value, then the gradients of `leaves` under the loss
+/// `sum(y ⊙ g)`, which hands `y` exactly `g`.
+fn seeded_grads(tape: &mut Tape, y: NodeId, g: &Tensor, leaves: &[NodeId]) -> Vec<f32> {
+    let gc = tape.constant(g.clone());
+    let prod = tape.mul(y, gc);
+    let loss = tape.sum(prod);
+    let grads = tape.backward(loss);
+    let mut out = tape.value(y).data().to_vec();
+    for &id in leaves {
+        out.extend_from_slice(grads.get(id).expect("leaf gradient").data());
+    }
+    out
 }
 
 fn cases() -> Vec<Case> {
@@ -190,22 +204,14 @@ fn cases() -> Vec<Case> {
                 let xn = tape.leaf(x.clone());
                 let en = tape.leaf(Tensor::from_vec(vec![0.1], [1]));
                 let y = tape.gin_aggregate(xn, en, src.clone(), dst.clone(), 5400);
-                let gc = tape.constant(g.clone());
-                let prod = tape.mul(y, gc);
-                let loss = tape.sum(prod);
-                let grads = tape.backward(loss);
-                let mut out = tape.value(y).data().to_vec();
-                for id in [xn, en] {
-                    out.extend_from_slice(grads.get(id).expect("leaf gradient").data());
-                }
-                out
+                seeded_grads(&mut tape, y, &g, &[xn, en])
             }),
         });
     }
 
     // Fused batch norm on a D&D-sized GIN hidden layer: the batch
-    // statistics (16-column blocks, ascending rows, `x·x` squares) and
-    // the row-parallel normalization.
+    // statistics (column folds on the calling thread, ascending rows,
+    // `x·x` squares) and the row-parallel normalization.
     {
         let mut rng = Rng::seed_from(13);
         let x = Tensor::randn([5400, 32], &mut rng).mul_scalar(2.0);
@@ -215,13 +221,13 @@ fn cases() -> Vec<Case> {
             name: "batch_norm_5400x32",
             run: Box::new(move || {
                 let stats = BatchNormStats::of_batch(&x, 1e-5);
-                batch_norm::forward(&x, &gamma, &beta, &stats).into_vec()
+                batch_norm::forward(&x, &gamma, &beta, &stats, false).into_vec()
             }),
         });
     }
 
-    // Its training backward: the fold pass, the elementwise pass that
-    // folds `gμ`, and the add pass, per 16-column block.
+    // Its training backward: the serial fold pass, the row-parallel `t`
+    // pass, the serial `gμ` fold over `t`, and the row-parallel add pass.
     {
         let mut rng = Rng::seed_from(14);
         let x = Tensor::randn([5400, 32], &mut rng).mul_scalar(2.0);
@@ -232,7 +238,7 @@ fn cases() -> Vec<Case> {
         v.push(Case {
             name: "batch_norm_backward_5400x32",
             run: Box::new(move || {
-                let grads = batch_norm::backward(&x, &gamma, &beta, &stats, &g, true);
+                let grads = batch_norm::backward(&x, &gamma, &beta, &stats, &g, None, true);
                 let mut out = grads.x.expect("asked for gx").into_vec();
                 out.extend_from_slice(grads.gamma.data());
                 out.extend_from_slice(grads.beta.data());
@@ -256,15 +262,47 @@ fn cases() -> Vec<Case> {
                 let mut tape = Tape::new();
                 let ids = [&x, &w, &b].map(|t| tape.leaf(t.clone()));
                 let y = tape.linear(ids[0], ids[1], ids[2]);
-                let gc = tape.constant(g.clone());
-                let prod = tape.mul(y, gc);
-                let loss = tape.sum(prod);
-                let grads = tape.backward(loss);
-                let mut out = tape.value(y).data().to_vec();
-                for id in ids {
-                    out.extend_from_slice(grads.get(id).expect("leaf gradient").data());
-                }
-                out
+                seeded_grads(&mut tape, y, &g, &ids)
+            }),
+        });
+    }
+
+    // GIN's hidden BN → ReLU as one op, forward and backward through the
+    // tape: batch statistics, normalization with the ReLU epilogue, and
+    // the backward reading the output's mask inline.
+    {
+        let mut rng = Rng::seed_from(17);
+        let x = Tensor::randn([5400, 32], &mut rng).mul_scalar(2.0);
+        let gamma = Tensor::rand_uniform([32], 0.5, 2.0, &mut rng);
+        let beta = Tensor::randn([32], &mut rng);
+        let g = Tensor::randn([5400, 32], &mut rng);
+        v.push(Case {
+            name: "batch_norm_relu_5400x32",
+            run: Box::new(move || {
+                let mut tape = Tape::new();
+                let ids = [&x, &gamma, &beta].map(|t| tape.leaf(t.clone()));
+                let stats = Rc::new(BatchNormStats::of_batch(&x, 1e-5));
+                let y = tape.batch_norm_relu(ids[0], ids[1], ids[2], stats);
+                seeded_grads(&mut tape, y, &g, &ids)
+            }),
+        });
+    }
+
+    // GIN's last Linear → ReLU as one op: the ReLU in the matmul's row
+    // pass, and one masked gradient shared by `gx`, `gW` and `gb`.
+    {
+        let mut rng = Rng::seed_from(18);
+        let x = Tensor::randn([5400, 32], &mut rng).map(|v| v.max(0.0));
+        let w = Tensor::randn([32, 32], &mut rng);
+        let b = Tensor::randn([32], &mut rng);
+        let g = Tensor::randn([5400, 32], &mut rng);
+        v.push(Case {
+            name: "linear_relu_5400x32",
+            run: Box::new(move || {
+                let mut tape = Tape::new();
+                let ids = [&x, &w, &b].map(|t| tape.leaf(t.clone()));
+                let y = tape.linear_relu(ids[0], ids[1], ids[2]);
+                seeded_grads(&mut tape, y, &g, &ids)
             }),
         });
     }

@@ -10,8 +10,8 @@ use tensor::{Mode, NodeId, Tape};
 /// `h' = ReLU(BN(Â h W + b))` where `Â = D̃^{-1/2}(A + I)D̃^{-1/2}`.
 pub struct GcnConv {
     linear: Linear,
+    /// BatchNorm with a ReLU epilogue; `None` for a plain layer.
     norm: Option<BatchNorm1d>,
-    activation: bool,
 }
 
 impl GcnConv {
@@ -20,7 +20,6 @@ impl GcnConv {
         GcnConv {
             linear: Linear::new(in_dim, out_dim, rng),
             norm: Some(BatchNorm1d::new(out_dim)),
-            activation: true,
         }
     }
 
@@ -30,7 +29,6 @@ impl GcnConv {
         GcnConv {
             linear: Linear::new(in_dim, out_dim, rng),
             norm: None,
-            activation: false,
         }
     }
 
@@ -60,14 +58,11 @@ impl Conv for GcnConv {
         _rng: &mut Rng,
     ) -> NodeId {
         let agg = Self::aggregate(tape, x, batch);
-        let mut h = self.linear.forward(tape, agg);
-        if let Some(bn) = &mut self.norm {
-            h = bn.forward(tape, h, mode);
+        let h = self.linear.forward(tape, agg);
+        match &mut self.norm {
+            Some(bn) => bn.forward_relu(tape, h, mode),
+            None => h,
         }
-        if self.activation {
-            h = tape.relu(h);
-        }
-        h
     }
 
     fn out_dim(&self) -> usize {

@@ -47,8 +47,7 @@ impl Conv for GinConv {
             batch.edge_dst.clone(),
             batch.num_nodes(),
         );
-        let h = self.mlp.forward(tape, combined, mode);
-        tape.relu(h)
+        self.mlp.forward_relu(tape, combined, mode)
     }
 
     fn out_dim(&self) -> usize {
@@ -71,7 +70,10 @@ impl Module for GinConv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::VirtualNode;
     use graph::{Graph, Label};
+    use std::rc::Rc;
+    use tensor::ops::BatchNormStats;
 
     fn toy_batch() -> GraphBatch {
         let mut g = Graph::new(
@@ -122,8 +124,41 @@ mod tests {
         }
     }
 
-    /// The four-op chain `GinConv::forward` recorded before
-    /// `Tape::gin_aggregate`, as the reference.
+    /// `Mlp::new(&[d, d, d], true)` then ReLU — the update of `GinConv`
+    /// and of the virtual node — as the ops it recorded before the ReLU
+    /// epilogues: `linear → batch_norm → relu → linear → relu`, on the
+    /// MLP's parameters `[W1, b1, γ, β, W2, b2]`, updating its running
+    /// statistics `[μ, σ²]` as `BatchNorm1d` does.
+    fn mlp_relu_chain(mlp: &mut dyn Module, tape: &mut Tape, x: NodeId, mode: Mode) -> NodeId {
+        const MOMENTUM: f32 = 0.1;
+        let p: Vec<NodeId> = mlp.params_mut().into_iter().map(|p| p.bind(tape)).collect();
+        let h = tape.linear(x, p[0], p[1]);
+        let mut running = mlp.buffers_mut();
+        let stats = match mode {
+            Mode::Train => {
+                let stats = BatchNormStats::of_batch(tape.value(h), 1e-5);
+                let n = tape.shape(h).as_matrix().0 as f32;
+                let unbias = if n > 1.0 { n / (n - 1.0) } else { 1.0 };
+                for (buf, (stat, scale)) in running
+                    .iter_mut()
+                    .zip([(stats.mean(), MOMENTUM), (stats.var(), MOMENTUM * unbias)])
+                {
+                    let stat = Tensor::from_vec(stat.to_vec(), [stat.len()]);
+                    **buf = buf.mul_scalar(1.0 - MOMENTUM).add(&stat.mul_scalar(scale));
+                }
+                stats
+            }
+            Mode::Eval => BatchNormStats::running(running[0], running[1], 1e-5),
+        };
+        let h = tape.batch_norm(h, p[2], p[3], Rc::new(stats));
+        let h = tape.relu(h);
+        let h = tape.linear(h, p[4], p[5]);
+        tape.relu(h)
+    }
+
+    /// What `GinConv::forward` recorded before `Tape::gin_aggregate` and
+    /// the ReLU epilogues, as the reference: `neighbor_sum → add_scalar
+    /// → mul → add`, then [`mlp_relu_chain`].
     fn chain_forward(
         conv: &mut GinConv,
         tape: &mut Tape,
@@ -137,8 +172,22 @@ mod tests {
         let one_plus_eps = tape.add_scalar(eps, 1.0);
         let scaled = tape.mul(x, one_plus_eps);
         let combined = tape.add(scaled, agg);
-        let h = conv.mlp.forward(tape, combined, mode);
-        tape.relu(h)
+        mlp_relu_chain(&mut conv.mlp, tape, combined, mode)
+    }
+
+    /// `VirtualNode::update` with its MLP as [`mlp_relu_chain`].
+    fn chain_vn_update(
+        vn: &mut VirtualNode,
+        tape: &mut Tape,
+        x: NodeId,
+        state: NodeId,
+        batch: &GraphBatch,
+        mode: Mode,
+    ) -> NodeId {
+        let pooled = tape.segment_sum(x, batch.batch.clone(), batch.num_graphs);
+        let combined = tape.add(state, pooled);
+        let transformed = mlp_relu_chain(vn, tape, combined, mode);
+        tape.add(state, transformed)
     }
 
     /// A two-layer GIN-virtual stack, as `StackedEncoder` runs it: input
@@ -147,7 +196,7 @@ mod tests {
     struct GinVirtual {
         proj: tensor::nn::Linear,
         convs: Vec<GinConv>,
-        vn: crate::layers::VirtualNode,
+        vn: VirtualNode,
         dropout: tensor::nn::Dropout,
     }
 
@@ -159,7 +208,7 @@ mod tests {
             for (c, e) in convs.iter_mut().zip([0.3f32, -0.45]) {
                 c.eps.value = Tensor::from_vec(vec![e], [1]);
             }
-            let vn = crate::layers::VirtualNode::new(8, &mut rng);
+            let vn = VirtualNode::new(8, &mut rng);
             let dropout = tensor::nn::Dropout::new(0.2);
             GinVirtual {
                 proj,
@@ -169,8 +218,8 @@ mod tests {
             }
         }
 
-        /// Loss bits, then every gradient but the ε ones and every buffer,
-        /// in order; and the ε gradients.
+        /// Loss bits, then every gradient but the ε ones and every buffer
+        /// (the virtual node's too), in order; and the ε gradients.
         fn run(&mut self, batch: &GraphBatch, mode: Mode, fused: bool) -> (Vec<u32>, Vec<f32>) {
             let mut rng = Rng::seed_from(9);
             let mut tape = Tape::new();
@@ -186,7 +235,11 @@ mod tests {
                 };
                 x = self.dropout.forward(&mut tape, x, mode, &mut rng);
                 if i + 1 < self.convs.len() {
-                    state = self.vn.update(&mut tape, x, state, batch, mode);
+                    state = if fused {
+                        self.vn.update(&mut tape, x, state, batch, mode)
+                    } else {
+                        chain_vn_update(&mut self.vn, &mut tape, x, state, batch, mode)
+                    };
                 }
             }
             let pooled = tape.segment_sum(x, batch.batch.clone(), batch.num_graphs);
@@ -203,10 +256,14 @@ mod tests {
             for p in params {
                 out.extend(grad(p).data().iter().map(|v| v.to_bits()));
             }
-            for c in &mut self.convs {
-                for b in c.buffers_mut() {
-                    out.extend(b.data().iter().map(|v| v.to_bits()));
-                }
+            let mut buffers: Vec<&mut Tensor> = self
+                .convs
+                .iter_mut()
+                .flat_map(|c| c.buffers_mut())
+                .collect();
+            buffers.extend(self.vn.buffers_mut());
+            for b in buffers {
+                out.extend(b.data().iter().map(|v| v.to_bits()));
             }
             let g_eps = self.convs.iter().map(|c| grad(&c.eps).item()).collect();
             (out, g_eps)

@@ -77,8 +77,7 @@ impl Conv for PnaConv {
         }
         let tower = tape.concat_cols(&parts);
         let h = self.linear.forward(tape, tower);
-        let h = self.norm.forward(tape, h, mode);
-        tape.relu(h)
+        self.norm.forward_relu(tape, h, mode)
     }
 
     fn out_dim(&self) -> usize {

@@ -38,8 +38,7 @@ impl Conv for SageConv {
         let n = batch.num_nodes();
         let mean = tape.neighbor_mean(x, batch.edge_src.clone(), batch.edge_dst.clone(), n);
         let cat = tape.concat_cols(&[x, mean]);
-        let h = self.linear.forward(tape, cat);
-        let h = tape.relu(h);
+        let h = self.linear.forward_relu(tape, cat);
         // h / (‖h‖₂ + ε) per row.
         let sq = tape.square(h);
         let row_norms = tape.sum_axis(sq, tensor::ops::Axis::Cols);

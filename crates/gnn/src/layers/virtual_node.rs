@@ -49,8 +49,7 @@ impl VirtualNode {
     ) -> NodeId {
         let pooled = tape.segment_sum(x, batch.batch.clone(), batch.num_graphs);
         let combined = tape.add(vn, pooled);
-        let transformed = self.update_mlp.forward(tape, combined, mode);
-        let transformed = tape.relu(transformed);
+        let transformed = self.update_mlp.forward_relu(tape, combined, mode);
         tape.add(vn, transformed)
     }
 }

@@ -40,7 +40,11 @@ fn scratch(tag: &str) -> PathBuf {
 /// Write a servable checkpoint; `scale` perturbs every parameter so two
 /// checkpoints produce visibly different outputs.
 fn write_checkpoint(path: &PathBuf, scale: f32) {
-    let mut model = spec().build().unwrap();
+    write_checkpoint_of(&spec(), path, scale);
+}
+
+fn write_checkpoint_of(spec: &ModelSpec, path: &PathBuf, scale: f32) {
+    let mut model = spec.build().unwrap();
     for p in model_params(&mut model) {
         for v in p.iter_mut() {
             *v *= scale;
@@ -196,6 +200,83 @@ fn responses_are_invariant_to_batch_composition() {
     }
 
     server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn responses_are_invariant_to_batch_composition_in_parallel_chunks() {
+    // Hidden 32 and graphs of 700–1200 nodes: every solo graph's
+    // `linear_relu` rows run in parallel chunks, and so do the batched
+    // `batch_norm_relu` rows (4700 nodes), at 1 and at 4 threads.
+    use tensor::par::would_dispatch;
+    use tensor::profile::Kernel;
+    let _g = lock();
+    let dir = scratch("batch_wide");
+    let ck = dir.join("m.oods");
+    let hidden = 32;
+    let wide = ModelSpec::new(
+        "gin",
+        IN_DIM,
+        hidden,
+        2,
+        graph::TaskType::MultiClass { classes: CLASSES },
+    );
+    write_checkpoint_of(&wide, &ck, 1.0);
+    let sizes = [700usize, 820, 950, 1030, 1200];
+    assert!(would_dispatch(Kernel::Matmul, sizes[0] * hidden * hidden));
+    assert!(!would_dispatch(Kernel::Elementwise, sizes[4] * hidden));
+    assert!(would_dispatch(
+        Kernel::Elementwise,
+        sizes.iter().sum::<usize>() * hidden
+    ));
+
+    let replies_at = |threads: usize| -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        tensor::par::set_threads(threads);
+        let server = Server::start(
+            ServeConfig::default(),
+            vec![("default".into(), wide.clone(), ck.clone())],
+        )
+        .unwrap();
+        let solo = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                let r = ask(&server, &infer_line(&format!("s{i}"), n, i as u64, None));
+                assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+                bits(r.outputs.as_ref().unwrap())
+            })
+            .collect();
+        // Stall the executor so all five coalesce into one batch.
+        server.fault_injector().inject_slow_batches(1, 150);
+        let lines: Vec<String> = std::iter::once(infer_line("stall", 3, 99, Some(10_000)))
+            .chain(
+                sizes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &n)| infer_line(&format!("b{i}"), n, i as u64, Some(10_000))),
+            )
+            .collect();
+        let responses = ask_burst(&server, &lines);
+        let batched = (0..sizes.len())
+            .map(|i| {
+                let r = by_id(&responses, &format!("b{i}"));
+                assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+                bits(r.outputs.as_ref().unwrap())
+            })
+            .collect();
+        server.shutdown();
+        (solo, batched)
+    };
+
+    let (solo, batched) = replies_at(1);
+    assert_eq!(
+        batched, solo,
+        "t=1: batched outputs differ from solo outputs"
+    );
+    let (solo4, batched4) = replies_at(4);
+    assert_eq!(solo4, solo, "t=4 solo outputs differ from t=1");
+    assert_eq!(batched4, solo, "t=4 batched outputs differ from t=1");
+    tensor::par::set_threads(tensor::par::max_threads());
     std::fs::remove_dir_all(&dir).ok();
 }
 

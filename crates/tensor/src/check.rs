@@ -245,6 +245,51 @@ mod tests {
     }
 
     #[test]
+    fn gradcheck_linear_relu() {
+        // Small `x·W` plus a bias of ±1.5 or ±2 keeps every
+        // pre-activation far from the ReLU's kink, so the finite
+        // differences never straddle it; two columns are masked.
+        let x = rand([3, 5], 13).mul_scalar(0.3);
+        let w = rand([5, 4], 14).mul_scalar(0.3);
+        let b = Tensor::from_vec(vec![1.5, -1.5, 2.0, -2.0], [4]);
+        let proj = rand([3, 4], 16);
+        assert_gradients(&[x, w, b], 1e-2, 2e-2, move |t, ids| {
+            let y = t.linear_relu(ids[0], ids[1], ids[2]);
+            let p = t.constant(proj.clone());
+            let yp = t.mul(y, p);
+            t.sum(yp)
+        });
+    }
+
+    #[test]
+    fn gradcheck_batch_norm_relu() {
+        let x = rand([6, 3], 17).mul_scalar(2.0);
+        let gamma = Tensor::from_vec(vec![0.7, -1.3, 1.1], [3]);
+        let beta = Tensor::from_vec(vec![0.2, -0.1, 0.4], [3]);
+        let proj = rand([6, 3], 18);
+        let running = (rand([3], 19), Tensor::from_vec(vec![0.6, 1.4, 2.0], [3]));
+        for batch in [true, false] {
+            let (proj, running) = (proj.clone(), running.clone());
+            assert_gradients(
+                &[x.clone(), gamma.clone(), beta.clone()],
+                1e-2,
+                2e-2,
+                move |t, ids| {
+                    let stats = if batch {
+                        crate::ops::BatchNormStats::of_batch(t.value(ids[0]), 1e-5)
+                    } else {
+                        crate::ops::BatchNormStats::running(&running.0, &running.1, 1e-5)
+                    };
+                    let y = t.batch_norm_relu(ids[0], ids[1], ids[2], Rc::new(stats));
+                    let p = t.constant(proj.clone());
+                    let yp = t.mul(y, p);
+                    t.sum(yp)
+                },
+            );
+        }
+    }
+
+    #[test]
     fn gradcheck_axis_reductions() {
         let x = rand([3, 4], 8);
         assert_gradients(std::slice::from_ref(&x), 1e-2, 2e-2, |t, ids| {

@@ -69,6 +69,27 @@ impl BatchNorm1d {
     /// other consumer, as for the `Linear` output every caller passes
     /// (see [`crate::ops::batch_norm`]).
     pub fn forward(&mut self, tape: &mut Tape, x: NodeId, mode: Mode) -> NodeId {
+        let (gamma, beta, stats) = self.bind(tape, x, mode);
+        tape.batch_norm(x, gamma, beta, stats)
+    }
+
+    /// `relu(forward(x))` as one [`Tape::batch_norm_relu`] op, the ReLU as
+    /// the epilogue of the normalization's row pass. Bitwise-equal to
+    /// `forward` then [`Tape::relu`] under the same condition on `x`, as
+    /// the normalized pre-activation feeds only the ReLU.
+    pub fn forward_relu(&mut self, tape: &mut Tape, x: NodeId, mode: Mode) -> NodeId {
+        let (gamma, beta, stats) = self.bind(tape, x, mode);
+        tape.batch_norm_relu(x, gamma, beta, stats)
+    }
+
+    /// Bind `γ` and `β` and pick the statistics for `mode`, updating the
+    /// running statistics in training.
+    fn bind(
+        &mut self,
+        tape: &mut Tape,
+        x: NodeId,
+        mode: Mode,
+    ) -> (NodeId, NodeId, Rc<BatchNormStats>) {
         let (n, d) = tape.shape(x).as_matrix();
         assert_eq!(d, self.dim, "BatchNorm1d: input dim {d} != {}", self.dim);
         let gamma = self.gamma.bind(tape);
@@ -96,7 +117,7 @@ impl BatchNorm1d {
             }
             Mode::Eval => BatchNormStats::running(&self.running_mean, &self.running_var, self.eps),
         };
-        tape.batch_norm(x, gamma, beta, Rc::new(stats))
+        (gamma, beta, Rc::new(stats))
     }
 }
 

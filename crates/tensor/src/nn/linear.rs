@@ -42,15 +42,30 @@ impl Linear {
 
     /// Forward pass on `[n, in]`, producing `[n, out]`.
     pub fn forward(&mut self, tape: &mut Tape, x: NodeId) -> NodeId {
+        self.forward_with(tape, x, false)
+    }
+
+    /// `relu(forward(x))`, with the ReLU as the epilogue of one
+    /// [`Tape::linear_relu`] op when the layer has a bias. Bitwise-equal
+    /// to `forward` then [`Tape::relu`], because the pre-activation feeds
+    /// only the ReLU.
+    pub fn forward_relu(&mut self, tape: &mut Tape, x: NodeId) -> NodeId {
+        self.forward_with(tape, x, true)
+    }
+
+    fn forward_with(&mut self, tape: &mut Tape, x: NodeId, relu: bool) -> NodeId {
         let (_, c) = tape.shape(x).as_matrix();
         assert_eq!(c, self.in_dim, "Linear: input dim {c} != {}", self.in_dim);
         let w = self.weight.bind(tape);
-        match &mut self.bias {
-            Some(b) => {
-                let bid = b.bind(tape);
-                tape.linear(x, w, bid)
-            }
-            None => tape.matmul(x, w),
+        let Some(b) = &mut self.bias else {
+            let h = tape.matmul(x, w);
+            return if relu { tape.relu(h) } else { h };
+        };
+        let b = b.bind(tape);
+        if relu {
+            tape.linear_relu(x, w, b)
+        } else {
+            tape.linear(x, w, b)
         }
     }
 }

@@ -46,8 +46,20 @@ impl Mlp {
         self.layers.last().unwrap().out_dim()
     }
 
-    /// Forward pass on `[n, in]` → `[n, out]`.
+    /// Forward pass on `[n, in]` → `[n, out]`. Every hidden ReLU is the
+    /// epilogue of the op before it (the BatchNorm, or the Linear when
+    /// there is none), which no other op reads.
     pub fn forward(&mut self, tape: &mut Tape, x: NodeId, mode: Mode) -> NodeId {
+        self.forward_with(tape, x, mode, false)
+    }
+
+    /// `relu(forward(x))`, the last ReLU fused the same way — the update
+    /// `GinConv` and the virtual node apply.
+    pub fn forward_relu(&mut self, tape: &mut Tape, x: NodeId, mode: Mode) -> NodeId {
+        self.forward_with(tape, x, mode, true)
+    }
+
+    fn forward_with(&mut self, tape: &mut Tape, x: NodeId, mode: Mode, relu: bool) -> NodeId {
         let n_layers = self.layers.len();
         let mut h = x;
         for (i, (layer, norm)) in self
@@ -56,13 +68,15 @@ impl Mlp {
             .zip(self.norms.iter_mut())
             .enumerate()
         {
-            h = layer.forward(tape, h);
-            if let Some(bn) = norm {
-                h = bn.forward(tape, h, mode);
-            }
-            if i + 1 < n_layers {
-                h = tape.relu(h);
-            }
+            h = match norm {
+                // Norms sit only on hidden layers, which end in the ReLU.
+                Some(bn) => {
+                    let z = layer.forward(tape, h);
+                    bn.forward_relu(tape, z, mode)
+                }
+                None if relu || i + 1 < n_layers => layer.forward_relu(tape, h),
+                None => layer.forward(tape, h),
+            };
         }
         h
     }

@@ -1,35 +1,47 @@
 //! Fused batch normalization: the statistics, forward and backward of
-//! [`super::Op::BatchNorm`].
+//! [`super::Op::BatchNorm`], with an optional ReLU epilogue.
 //!
 //! Every value is bitwise-equal to the unfused tape chain it replaces —
 //! `mean_axis → sub → square → mean_axis → add_scalar → sqrt → div → mul
 //! → add` in training, `sub → sqrt → div → mul → add` on the running
-//! statistics in evaluation — because each element goes through the same
-//! float operations in the same order:
+//! statistics in evaluation, then `relu` when the epilogue is on —
+//! because each element goes through the same float operations in the
+//! same order:
 //!
-//! * Columns are independent, so the kernels work on blocks of
-//!   16 columns in parallel, and each block runs every fold of its
-//!   columns over the rows in ascending order, starting from `+0.0`. That
-//!   is the order `sum_rows` and the backward column folds use, and it
-//!   does not depend on the thread count.
+//! * Every column fold runs on the calling thread over whole contiguous
+//!   rows, each column in ascending row order starting from `+0.0`: the
+//!   order `sum_rows` and the backward column folds use, for any thread
+//!   count. Those folds are the two of [`BatchNormStats::of_batch`], the
+//!   backward's `gσ/gγ/gβ` fold and its `gμ` fold. Splitting them into
+//!   column blocks across threads made every thread write part of every
+//!   `gx` row, and the threads then fought over the same cache lines.
+//! * The purely elementwise passes are row-parallel: the forward, the
+//!   backward's `t` (written into `gx`, which the `gμ` fold then reads
+//!   back) and its final add.
 //! * Squares are `x · x`: the variance adds `(x − μ)·(x − μ)`, as the
 //!   chain's `square` computes it.
 //! * In the backward pass, the two gradients that reached `x − μ` and
 //!   `x` on the tape are summed in the order the tape's `axpy` summed
 //!   them.
+//! * The ReLU epilogue takes `y.max(0.0)` after `·γ + β` in the same row
+//!   pass, the expression of `Op::Relu`. Its backward masks the incoming
+//!   gradient with the op's own output, `if y > 0 { g } else { 0 }`, read
+//!   inline in the fold and `t` passes: `y > 0` exactly when the
+//!   pre-activation is `> 0` (a NaN pre-activation gives `y = 0`, a `±0`
+//!   gives `±0`), which is the rule `Op::Relu` applies to its input.
 //!
 //! The fusion is exact only while `x` has no consumer besides this op: a
 //! second consumer's gradient would be added to `gx` here, not in the
 //! order the chain's reverse sweep added it. Every caller today feeds
-//! batch norm the output of a `Linear`, which has no other consumer.
+//! batch norm the output of a `Linear`, which has no other consumer. The
+//! epilogue likewise needs the normalized pre-activation to feed only
+//! the ReLU, since it is never materialized.
 
-use crate::par::{self, SendPtr};
+use crate::par;
 use crate::pool;
 use crate::profile::Kernel;
+use crate::simd::{self, LANES};
 use crate::tensor::Tensor;
-
-/// Columns per parallel block.
-const BLOCK: usize = 16;
 
 /// The per-column statistics an [`super::Op::BatchNorm`] normalizes with.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,32 +60,27 @@ impl BatchNormStats {
     pub fn of_batch(x: &Tensor, eps: f32) -> Self {
         let (n, d) = x.shape().as_matrix();
         let inv = inv_rows(n);
-        let mut mean = vec![0.0f32; d];
-        let mut var = vec![0.0f32; d];
-        let (mp, vp) = (SendPtr(mean.as_mut_ptr()), SendPtr(var.as_mut_ptr()));
-        for_each_block(n, d, Kernel::Reduce, |j0, w| {
-            // SAFETY: `mean` and `var` hold `d` entries and outlive the
-            // region, and each block's columns `j0..j0 + w` are visited by
-            // one chunk only.
-            let mu = unsafe { std::slice::from_raw_parts_mut(mp.get().add(j0), w) };
-            let vr = unsafe { std::slice::from_raw_parts_mut(vp.get().add(j0), w) };
+        let (mean, var) = par::sequential(Kernel::Reduce, || {
+            let mut mean = vec![0.0f32; d];
             for i in 0..n {
-                for (m, &xv) in mu.iter_mut().zip(&x.row(i)[j0..j0 + w]) {
-                    *m += xv;
-                }
+                simd::add_assign(&mut mean, x.row(i));
             }
-            for m in mu.iter_mut() {
+            for m in &mut mean {
                 *m *= inv;
             }
+            let mut var = vec![0.0f32; d];
+            let mut sq = vec![0.0f32; d];
             for i in 0..n {
-                for ((v, &m), &xv) in vr.iter_mut().zip(mu.iter()).zip(&x.row(i)[j0..j0 + w]) {
+                for ((s, &m), &xv) in sq.iter_mut().zip(&mean).zip(x.row(i)) {
                     let d = xv - m;
-                    *v += d * d;
+                    *s = d * d;
                 }
+                simd::add_assign(&mut var, &sq);
             }
-            for v in vr.iter_mut() {
+            for v in &mut var {
                 *v *= inv;
             }
+            (mean, var)
         });
         let std = var.iter().map(|&v| (v + eps).sqrt()).collect();
         BatchNormStats {
@@ -120,20 +127,15 @@ fn inv_rows(n: usize) -> f32 {
     1.0 / n.max(1) as f32
 }
 
-/// Run `f(j0, width)` for every block of `BLOCK` columns of a `[n, d]`
-/// matrix, one block per chunk, in parallel when the matrix is big
-/// enough.
-fn for_each_block(n: usize, d: usize, kernel: Kernel, f: impl Fn(usize, usize) + Sync) {
-    par::for_each_chunk_weighted(d.div_ceil(BLOCK), 1, kernel, n * d, |range| {
-        for b in range {
-            let j0 = b * BLOCK;
-            f(j0, BLOCK.min(d - j0));
-        }
-    });
-}
-
-/// Forward: `y = ((x − μ)/σ)·γ + β`, one row-parallel pass.
-pub fn forward(x: &Tensor, gamma: &Tensor, beta: &Tensor, stats: &BatchNormStats) -> Tensor {
+/// Forward: `y = ((x − μ)/σ)·γ + β`, then `y.max(0.0)` with `relu`, in
+/// one row-parallel pass.
+pub fn forward(
+    x: &Tensor,
+    gamma: &Tensor,
+    beta: &Tensor,
+    stats: &BatchNormStats,
+    relu: bool,
+) -> Tensor {
     let (n, d) = x.shape().as_matrix();
     let (mu, sd, g, b) = (&stats.mean, &stats.std, gamma.data(), beta.data());
     let mut out = pool::take_raw(n * d);
@@ -144,9 +146,13 @@ pub fn forward(x: &Tensor, gamma: &Tensor, beta: &Tensor, stats: &BatchNormStats
         super::row_grain(d),
         Kernel::Elementwise,
         |i, row| {
-            let (xr, mu, sd, g, b) = (x.row(i), &mu[..d], &sd[..d], &g[..d], &b[..d]);
+            let (xr, row) = (&x.row(i)[..d], &mut row[..d]);
+            let (mu, sd, g, b) = (&mu[..d], &sd[..d], &g[..d], &b[..d]);
             for j in 0..d {
                 row[j] = ((xr[j] - mu[j]) / sd[j]) * g[j] + b[j];
+            }
+            if relu {
+                simd::map_assign(row, |y| y.max(0.0));
             }
         },
     );
@@ -164,8 +170,10 @@ pub struct Grads {
 }
 
 /// Backward for an incoming gradient `grad`, with `gx` computed only when
-/// `want_x`. Per column, `gβ = Σg` and `gγ = Σ g·((x−μ)/σ)`. With batch
-/// statistics, `gx` runs the chain's backward through `μ` and `σ`:
+/// `want_x`. With the ReLU epilogue, `relu_out` is the op's output `y`,
+/// and `g` below is `grad` masked by `y > 0`. Per column, `gβ = Σg` and
+/// `gγ = Σ g·((x−μ)/σ)`. With batch statistics, `gx` runs the chain's
+/// backward through `μ` and `σ`:
 ///
 /// * `gσ = Σ −((g·γ)·(x−μ))/(σ·σ)` and `s = (gσ/(2σ))·inv`;
 /// * `t = (g·γ)/σ + (s·2)·(x−μ)` and `gμ = Σ(−t)`;
@@ -178,75 +186,73 @@ pub fn backward(
     beta: &Tensor,
     stats: &BatchNormStats,
     grad: &Tensor,
+    relu_out: Option<&Tensor>,
+    want_x: bool,
+) -> Grads {
+    match relu_out {
+        Some(y) => backward_with::<true>(x, gamma, beta, stats, grad, y, want_x),
+        None => backward_with::<false>(x, gamma, beta, stats, grad, grad, want_x),
+    }
+}
+
+/// The incoming gradient at one element: `g`, or with the ReLU epilogue
+/// `g` where the output `y` is positive and `0` elsewhere.
+#[inline(always)]
+fn masked<const RELU: bool>(g: f32, y: f32) -> f32 {
+    if !RELU || y > 0.0 {
+        g
+    } else {
+        0.0
+    }
+}
+
+/// [`backward`], with `y` read only when `RELU`.
+fn backward_with<const RELU: bool>(
+    x: &Tensor,
+    gamma: &Tensor,
+    beta: &Tensor,
+    stats: &BatchNormStats,
+    grad: &Tensor,
+    y: &Tensor,
     want_x: bool,
 ) -> Grads {
     let (n, d) = x.shape().as_matrix();
     let inv = inv_rows(n);
-    let (mu, sd, ga) = (&stats.mean, &stats.std, gamma.data());
+    let (mu, sd, ga) = (&stats.mean[..d], &stats.std[..d], &gamma.data()[..d]);
     let mut g_gamma = pool::take_zeroed(d);
     let mut g_beta = pool::take_zeroed(d);
     let batch_x = want_x && stats.batch;
-    let mut gx = if want_x {
-        pool::take_raw(n * d)
-    } else {
-        Vec::new()
-    };
-    let (gp, bp, xp) = (
-        SendPtr(g_gamma.as_mut_ptr()),
-        SendPtr(g_beta.as_mut_ptr()),
-        SendPtr(gx.as_mut_ptr()),
-    );
-    for_each_block(n, d, Kernel::Reduce, |j0, w| {
-        let cols = j0..j0 + w;
-        let (mu, sd, ga) = (&mu[cols.clone()], &sd[cols.clone()], &ga[cols.clone()]);
-        let rows = || {
-            x.data()
-                .chunks_exact(d)
-                .zip(grad.data().chunks_exact(d))
-                .map(|(xr, gr)| (&xr[cols.clone()], &gr[cols.clone()]))
-        };
-        // SAFETY: `g_gamma` and `g_beta` hold `d` entries, and `gx` holds
-        // `n · d` whenever `gx_row` is called (only with `want_x`); all
-        // outlive the region. Each block's columns `j0..j0 + w` are
-        // visited by one chunk only, so no two chunks' slices overlap, and
-        // each `gx_row` slice is dropped before the next is made.
-        let gg = unsafe { std::slice::from_raw_parts_mut(gp.get().add(j0), w) };
-        let gb = unsafe { std::slice::from_raw_parts_mut(bp.get().add(j0), w) };
-        let gx_row =
-            |i: usize| unsafe { std::slice::from_raw_parts_mut(xp.get().add(i * d + j0), w) };
-        // The fold pass: gβ, gγ and, for gx, gσ.
-        let mut g_std = [0.0f32; BLOCK];
-        let g_std = &mut g_std[..w];
-        if !batch_x {
-            fold_rows::<false>(rows(), [mu, sd, ga], gg, gb, g_std);
-            return;
-        }
-        fold_rows::<true>(rows(), [mu, sd, ga], gg, gb, g_std);
-        let mut s = [0.0f32; BLOCK];
-        let s = &mut s[..w];
-        for j in 0..w {
-            s[j] = (g_std[j] / (2.0 * sd[j])) * inv;
-        }
-        // The elementwise pass, folding gμ.
-        let mut g_mean = [0.0f32; BLOCK];
-        let g_mean = &mut g_mean[..w];
-        for (i, (xr, gr)) in rows().enumerate() {
-            let out = gx_row(i);
-            for j in 0..w {
-                let t = (gr[j] * ga[j]) / sd[j] + (s[j] * 2.0) * (xr[j] - mu[j]);
-                out[j] = t;
-                g_mean[j] += -t;
-            }
-        }
-        // The add pass.
-        for i in 0..n {
-            let out = gx_row(i);
-            for j in 0..w {
-                out[j] += g_mean[j] * inv;
-            }
+    // The fold pass: gβ, gγ and, for a batch-statistics gx, gσ.
+    let mut g_std = vec![0.0f32; d];
+    let cols = [mu, sd, ga];
+    let (xd, gd, yd) = (x.data(), grad.data(), y.data());
+    par::sequential(Kernel::Reduce, || {
+        if batch_x {
+            fold_rows::<RELU, true>([xd, gd, yd], cols, [&mut g_gamma, &mut g_beta, &mut g_std]);
+        } else {
+            fold_rows::<RELU, false>([xd, gd, yd], cols, [&mut g_gamma, &mut g_beta, &mut g_std]);
         }
     });
-    if want_x && !stats.batch {
+    let gx = want_x.then(|| {
+        let mut gx = pool::take_raw(n * d);
+        if !stats.batch {
+            par::for_each_row(
+                &mut gx,
+                n,
+                d,
+                super::row_grain(d),
+                Kernel::Elementwise,
+                |i, row| {
+                    let (gr, yr, row) = (&grad.row(i)[..d], &y.row(i)[..d], &mut row[..d]);
+                    for j in 0..d {
+                        row[j] = (masked::<RELU>(gr[j], yr[j]) * ga[j]) / sd[j];
+                    }
+                },
+            );
+            return Tensor::from_vec(gx, x.shape().clone());
+        }
+        let s: Vec<f32> = (0..d).map(|j| (g_std[j] / (2.0 * sd[j])) * inv).collect();
+        // The `t` pass.
         par::for_each_row(
             &mut gx,
             n,
@@ -254,42 +260,114 @@ pub fn backward(
             super::row_grain(d),
             Kernel::Elementwise,
             |i, row| {
-                let (gr, ga, sd) = (grad.row(i), &ga[..d], &sd[..d]);
+                let (xr, gr, yr) = (&x.row(i)[..d], &grad.row(i)[..d], &y.row(i)[..d]);
+                let (s, row) = (&s[..d], &mut row[..d]);
                 for j in 0..d {
-                    row[j] = (gr[j] * ga[j]) / sd[j];
+                    let g = masked::<RELU>(gr[j], yr[j]);
+                    row[j] = (g * ga[j]) / sd[j] + (s[j] * 2.0) * (xr[j] - mu[j]);
                 }
             },
         );
-    }
+        // The gμ fold over the `t` just written.
+        let g_mean = par::sequential(Kernel::Reduce, || {
+            let mut g_mean = vec![0.0f32; d];
+            fold_neg_rows(&mut g_mean, &gx);
+            g_mean
+        });
+        // The add pass.
+        par::for_each_row(
+            &mut gx,
+            n,
+            d,
+            super::row_grain(d),
+            Kernel::Elementwise,
+            |_, row| {
+                for (o, &m) in row.iter_mut().zip(&g_mean) {
+                    *o += m * inv;
+                }
+            },
+        );
+        Tensor::from_vec(gx, x.shape().clone())
+    });
     Grads {
-        x: want_x.then(|| Tensor::from_vec(gx, x.shape().clone())),
+        x: gx,
         gamma: Tensor::from_vec(g_gamma, gamma.shape().clone()),
         beta: Tensor::from_vec(g_beta, beta.shape().clone()),
     }
 }
 
-/// The fold pass over one block's `(x, g)` row slices, in ascending row
-/// order: `gβ += g` and `gγ += g·((x−μ)/σ)`, and with `STD` also
-/// `gσ += −((g·γ)·(x−μ))/(σ·σ)`.
-fn fold_rows<'r, const STD: bool>(
-    rows: impl Iterator<Item = (&'r [f32], &'r [f32])>,
+/// The fold pass over whole rows of `x`, `g` and `y`, in ascending row
+/// order: `gβ += g`, `gγ += g·((x−μ)/σ)` and, with `STD`,
+/// `gσ += −((g·γ)·(x−μ))/(σ·σ)`, where `g` is masked by `y` with `RELU`.
+///
+/// A row's first `d − d % LANES` columns and its tail are separate loops,
+/// the partition [`simd::add_terms`] folds the chain's rows with, so the
+/// two compile alike and even a NaN's sign comes out as the chain's. Kept
+/// out of line so the accumulators' `&mut` tells the compiler they alias
+/// no input, and no run-time overlap check picks another code path.
+#[inline(never)]
+fn fold_rows<const RELU: bool, const STD: bool>(
+    [x, grad, y]: [&[f32]; 3],
     [mu, sd, ga]: [&[f32]; 3],
-    gg: &mut [f32],
-    gb: &mut [f32],
-    g_std: &mut [f32],
+    [gg, gb, g_std]: [&mut [f32]; 3],
 ) {
-    let w = mu.len();
-    let (sd, ga) = (&sd[..w], &ga[..w]);
-    let (gg, gb, g_std) = (&mut gg[..w], &mut gb[..w], &mut g_std[..w]);
-    for (xr, gr) in rows {
-        let (xr, gr) = (&xr[..w], &gr[..w]);
-        for j in 0..w {
-            let (g, xc) = (gr[j], xr[j] - mu[j]);
-            gb[j] += g;
-            gg[j] += g * (xc / sd[j]);
-            if STD {
-                g_std[j] += -((g * ga[j]) * xc) / (sd[j] * sd[j]);
-            }
+    let d = mu.len();
+    if d == 0 {
+        return;
+    }
+    let main = d - d % LANES;
+    let rows = x
+        .chunks_exact(d)
+        .zip(grad.chunks_exact(d))
+        .zip(y.chunks_exact(d));
+    for ((xr, gr), yr) in rows {
+        let (ins, cols) = ([xr, gr, yr], [mu, sd, ga]);
+        for j in 0..main {
+            fold_step::<RELU, STD>(j, ins, cols, [&mut *gg, &mut *gb, &mut *g_std]);
+        }
+        for j in main..d {
+            fold_step::<RELU, STD>(j, ins, cols, [&mut *gg, &mut *gb, &mut *g_std]);
+        }
+    }
+}
+
+/// Column `j` of one row of [`fold_rows`]. Each term is added as
+/// `term + acc`: IEEE addition is commutative except for which NaN a
+/// `NaN + NaN` returns, and in this order the compiled fold returns the
+/// term's, as the chain's does.
+#[allow(clippy::assign_op_pattern)] // `acc += term` is `acc + term`
+#[inline(always)]
+fn fold_step<const RELU: bool, const STD: bool>(
+    j: usize,
+    [x, grad, y]: [&[f32]; 3],
+    [mu, sd, ga]: [&[f32]; 3],
+    [gg, gb, g_std]: [&mut [f32]; 3],
+) {
+    let (g, xc) = (masked::<RELU>(grad[j], y[j]), x[j] - mu[j]);
+    gb[j] = g + gb[j];
+    gg[j] = g * (xc / sd[j]) + gg[j];
+    if STD {
+        g_std[j] = -((g * ga[j]) * xc) / (sd[j] * sd[j]) + g_std[j];
+    }
+}
+
+/// `acc += −t` row by row over the `[n, d]` rows of `t`, split and
+/// ordered like [`fold_rows`], each term added as `term + acc`.
+#[allow(clippy::assign_op_pattern)] // `acc += term` is `acc + term`
+#[inline(never)]
+fn fold_neg_rows(acc: &mut [f32], t: &[f32]) {
+    let d = acc.len();
+    if d == 0 {
+        return;
+    }
+    let main = d - d % LANES;
+    for row in t.chunks_exact(d) {
+        let row = &row[..d];
+        for j in 0..main {
+            acc[j] = -row[j] + acc[j];
+        }
+        for j in main..d {
+            acc[j] = -row[j] + acc[j];
         }
     }
 }

@@ -75,8 +75,10 @@ pub enum Op {
     /// Dense 2-D matrix product.
     Matmul(NodeId, NodeId),
     /// Affine map `x·W + b` for `x: [n,k]`, `W: [k,m]`, `b: [m]` — the
-    /// `matmul → add` chain with the bias added in the matmul's row pass.
-    Linear(NodeId, NodeId, NodeId),
+    /// `matmul → add` chain with the bias added in the matmul's row pass —
+    /// followed, when the flag is set, by a ReLU epilogue in the same
+    /// pass. See [`Tape::linear_relu`].
+    Linear(NodeId, NodeId, NodeId, bool),
     /// 2-D transpose.
     Transpose(NodeId),
     /// Rectified linear unit.
@@ -140,9 +142,9 @@ pub enum Op {
     CosFeature(NodeId, Rc<Tensor>, Rc<Tensor>, f32),
     /// Fused batch normalization `((x − μ)/σ)·γ + β` of `x: [n,d]` with
     /// per-column statistics: the nine-op training chain (or the
-    /// five-op evaluation chain) as one op, bitwise-equal to it. See
-    /// [`batch_norm`].
-    BatchNorm(NodeId, NodeId, NodeId, Rc<BatchNormStats>),
+    /// five-op evaluation chain) as one op, bitwise-equal to it, followed
+    /// by a ReLU epilogue when the flag is set. See [`batch_norm`].
+    BatchNorm(NodeId, NodeId, NodeId, Rc<BatchNormStats>, bool),
 }
 
 impl Op {
@@ -184,7 +186,7 @@ impl Op {
             | Op::LogSoftmax(a)
             | Op::ScaledMaskedSqSum(a, _, _)
             | Op::CosFeature(a, _, _, _) => vec![*a],
-            Op::Linear(a, b, c) | Op::BatchNorm(a, b, c, _) => vec![*a, *b, *c],
+            Op::Linear(a, b, c, _) | Op::BatchNorm(a, b, c, _, _) => vec![*a, *b, *c],
             Op::ConcatRows(xs) | Op::ConcatCols(xs) => xs.as_ref().clone(),
         }
     }
@@ -204,7 +206,7 @@ impl Op {
             Op::PowScalar(a, p) if *p == 2.0 => v(a).map(|x| x * x),
             Op::PowScalar(a, p) => v(a).map(|x| x.powf(*p)),
             Op::Matmul(a, b) => v(a).matmul(v(b)),
-            Op::Linear(x, w, b) => v(x).matmul_bias(v(w), Some(v(b))),
+            Op::Linear(x, w, b, relu) => v(x).matmul_bias(v(w), Some(v(b)), *relu),
             Op::Transpose(a) => v(a).transpose(),
             Op::Relu(a) => v(a).map(|x| x.max(0.0)),
             Op::Sigmoid(a) => v(a).map(sigmoid),
@@ -247,8 +249,8 @@ impl Op {
                 Tensor::scalar(scaled_masked_sq_sum(v(a), mask, *scale))
             }
             Op::CosFeature(a, w_row, phi_row, amp) => cos_feature(v(a), w_row, phi_row, *amp),
-            Op::BatchNorm(x, gamma, beta, stats) => {
-                batch_norm::forward(v(x), v(gamma), v(beta), stats)
+            Op::BatchNorm(x, gamma, beta, stats, relu) => {
+                batch_norm::forward(v(x), v(gamma), v(beta), stats, *relu)
             }
         }
     }
@@ -313,16 +315,19 @@ impl Op {
                 (*a, &|| grad.matmul(&v(b).transpose())),
                 (*b, &|| v(a).matmul_tn(grad)),
             ]),
-            Op::Linear(x, w, b) => tape.operand_grads([
-                (*x, &|| grad.matmul(&v(w).transpose())),
-                (*w, &|| v(x).matmul_tn(grad)),
-                (*b, &|| reduce_grad_to(grad, v(b).shape())),
-            ]),
-            Op::Transpose(a) => vec![(*a, grad.transpose())],
-            Op::Relu(a) => {
-                let g = grad.zip_broadcast(v(a), |g, x| if x > 0.0 { g } else { 0.0 });
-                vec![(*a, g)]
+            Op::Linear(x, w, b, relu) => {
+                // The ReLU epilogue's gradient, masked by the output once
+                // and shared by the three operands.
+                let masked = relu.then(|| relu_grad(grad, value));
+                let grad = masked.as_ref().unwrap_or(grad);
+                tape.operand_grads([
+                    (*x, &|| grad.matmul(&v(w).transpose())),
+                    (*w, &|| v(x).matmul_tn(grad)),
+                    (*b, &|| reduce_grad_to(grad, v(b).shape())),
+                ])
             }
+            Op::Transpose(a) => vec![(*a, grad.transpose())],
+            Op::Relu(a) => vec![(*a, relu_grad(grad, v(a)))],
             Op::Sigmoid(a) => {
                 let g = grad.zip_broadcast(value, |g, y| g * y * (1.0 - y));
                 vec![(*a, g)]
@@ -446,10 +451,12 @@ impl Op {
             Op::CosFeature(a, w_row, phi_row, amp) => {
                 vec![(*a, cos_feature_backward(v(a), w_row, phi_row, *amp, grad))]
             }
-            Op::BatchNorm(x, gamma, beta, stats) => {
+            Op::BatchNorm(x, gamma, beta, stats, relu) => {
                 // `gγ` and `gβ` share the fold pass; `gx` is the expensive part.
                 let want_x = tape.nodes[x.0].needs_grad;
-                let g = batch_norm::backward(v(x), v(gamma), v(beta), stats, grad, want_x);
+                let relu_out = relu.then_some(value);
+                let g =
+                    batch_norm::backward(v(x), v(gamma), v(beta), stats, grad, relu_out, want_x);
                 let mut out = vec![(*gamma, g.gamma), (*beta, g.beta)];
                 out.extend(g.x.map(|gx| (*x, gx)));
                 out
@@ -473,6 +480,13 @@ impl Op {
             }
         }
     }
+}
+
+/// ReLU's backward rule: `g` where `x > 0`, else `0`. `x` is either the
+/// pre-activation or the ReLU's own output, which are positive at the same
+/// elements (a NaN pre-activation has output `0`, a `±0` has `±0`).
+fn relu_grad(grad: &Tensor, x: &Tensor) -> Tensor {
+    grad.zip_broadcast(x, |g, x| if x > 0.0 { g } else { 0.0 })
 }
 
 #[inline]
@@ -924,6 +938,20 @@ impl Tape {
     /// entries: bitwise `add(matmul(x, W), b)` in one op, whose backward
     /// reads the weight gradient `xᵀ·G` in place.
     pub fn linear(&mut self, x: NodeId, w: NodeId, b: NodeId) -> NodeId {
+        self.record_linear(x, w, b, false)
+    }
+
+    /// `relu(linear(x, W, b))` as one op: the ReLU is the epilogue of the
+    /// matmul's row pass, and the backward masks the incoming gradient by
+    /// the output once, then shares it between `gx`, `gW` and `gb`.
+    /// Bitwise-equal to the two-op chain while the pre-activation feeds
+    /// nothing but the ReLU — it is never materialized, so no other
+    /// consumer can read it.
+    pub fn linear_relu(&mut self, x: NodeId, w: NodeId, b: NodeId) -> NodeId {
+        self.record_linear(x, w, b, true)
+    }
+
+    fn record_linear(&mut self, x: NodeId, w: NodeId, b: NodeId, relu: bool) -> NodeId {
         let (_, k) = self.shape(x).as_matrix();
         let (k2, m) = self.shape(w).as_matrix();
         assert_eq!(
@@ -939,7 +967,7 @@ impl Tape {
             "linear: bias {} for {m} outputs",
             self.shape(b)
         );
-        self.record(Op::Linear(x, w, b))
+        self.record(Op::Linear(x, w, b, relu))
     }
 
     /// Batch normalization `((x − μ)/σ)·γ + β` of `x: [n,d]` with
@@ -955,6 +983,32 @@ impl Tape {
         beta: NodeId,
         stats: Rc<BatchNormStats>,
     ) -> NodeId {
+        self.record_batch_norm(x, gamma, beta, stats, false)
+    }
+
+    /// `relu(batch_norm(x, γ, β, stats))` as one op, the ReLU applied in
+    /// the normalization's row pass and its mask read inline in the
+    /// backward passes. Bitwise-equal to the two-op chain while both `x`
+    /// and the normalized pre-activation feed nothing else (see
+    /// [`batch_norm`]).
+    pub fn batch_norm_relu(
+        &mut self,
+        x: NodeId,
+        gamma: NodeId,
+        beta: NodeId,
+        stats: Rc<BatchNormStats>,
+    ) -> NodeId {
+        self.record_batch_norm(x, gamma, beta, stats, true)
+    }
+
+    fn record_batch_norm(
+        &mut self,
+        x: NodeId,
+        gamma: NodeId,
+        beta: NodeId,
+        stats: Rc<BatchNormStats>,
+        relu: bool,
+    ) -> NodeId {
         let (_, d) = self.shape(x).as_matrix();
         for (what, id) in [("gamma", gamma), ("beta", beta)] {
             assert_eq!(
@@ -964,7 +1018,7 @@ impl Tape {
             );
         }
         assert_eq!(stats.dim(), d, "batch_norm: statistics for {d} columns");
-        self.record(Op::BatchNorm(x, gamma, beta, stats))
+        self.record(Op::BatchNorm(x, gamma, beta, stats, relu))
     }
 
     /// 2-D transpose.

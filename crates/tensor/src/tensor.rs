@@ -562,13 +562,15 @@ impl Tensor {
     /// never enters the sum. The pool cutoff counts multiply-adds, so a
     /// long inner dimension fans out too.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        self.matmul_bias(other, None)
+        self.matmul_bias(other, None, false)
     }
 
     /// `self @ other + bias` with the `[n]` bias added to each output row
     /// in the same row pass, after its `k` loop: the same single rounding
-    /// as a separate broadcast add, without the second pass.
-    pub(crate) fn matmul_bias(&self, other: &Tensor, bias: Option<&Tensor>) -> Tensor {
+    /// as a separate broadcast add, without the second pass. With `relu`
+    /// the row pass then takes `y.max(0.0)` of every element, tail columns
+    /// included — the expression of a separate ReLU pass.
+    pub(crate) fn matmul_bias(&self, other: &Tensor, bias: Option<&Tensor>, relu: bool) -> Tensor {
         let (m, k) = self.shape.as_matrix();
         let (k2, n) = other.shape.as_matrix();
         assert_eq!(
@@ -598,6 +600,9 @@ impl Tensor {
                 }
                 if let Some(b) = bias {
                     simd::add_assign(out_row, &b.data);
+                }
+                if relu {
+                    simd::map_assign(out_row, |y| y.max(0.0));
                 }
             },
         );

@@ -1,18 +1,21 @@
 //! Bitwise oracles for the fused GIN ops: [`Tape::gin_aggregate`]
-//! (recorded by `GinConv`), [`Tape::batch_norm`] (recorded by
-//! `BatchNorm1d`) and [`Tape::linear`] (recorded by `Linear`) must equal
-//! the unfused tape chains they replace bit for bit —
-//! forward values, running statistics and every gradient — in training
-//! and evaluation mode, across `OOD_THREADS` {1,2,4} × `OOD_POOL` {0,1}.
-//! The unfused chains live only here, as the reference.
+//! (recorded by `GinConv`), [`Tape::batch_norm`] and
+//! [`Tape::batch_norm_relu`] (recorded by `BatchNorm1d`), and
+//! [`Tape::linear`] and [`Tape::linear_relu`] (recorded by `Linear`) must
+//! equal the unfused tape chains they replace bit for bit — forward
+//! values, running statistics and every gradient — in training and
+//! evaluation mode, across `OOD_THREADS` {1,2,4} × `OOD_POOL` {0,1}. The
+//! unfused chains live only here, as the reference.
 //!
 //! The one exception is GIN's `gε`, a chunked tree reduction where the
 //! chain folded sequentially: it must agree with the chain to rounding and
 //! be bitwise-identical at every configuration.
 //!
-//! The inputs carry the cases that break a near-miss: NaN and ±∞ in `x`
-//! and in the incoming gradient (so `Aᵀ·G` takes its zero-skipping path),
-//! exact zeros in `x`, and a column whose deviation from its mean is
+//! The inputs carry the cases that break a near-miss: NaN, ±∞ and −0 in
+//! `x` and in the incoming gradient (so `Aᵀ·G` takes its zero-skipping
+//! path), exact zeros in `x`, a batch-norm pre-activation of −0 (a zero
+//! deviation times a negative `γ`, plus `β = −0`) where the ReLU mask must
+//! stay shut, and a column whose deviation from its mean is
 //! `1.0844669e-19`, where `powf(x, 2)` and `x · x` round differently, so a
 //! fused op and a chain that square differently disagree there.
 
@@ -90,14 +93,15 @@ fn bn_input(n: usize, d: usize, special: bool, rng: &mut Rng) -> Tensor {
     x
 }
 
-/// Incoming gradient: normals, with NaN/±∞ in the last column when
-/// `special`.
+/// Incoming gradient: normals, with −∞, NaN and −0 in the last column
+/// when `special`.
 fn upstream(n: usize, d: usize, special: bool, rng: &mut Rng) -> Tensor {
     let mut g = Tensor::randn([n, d], rng);
     if special && d > 1 && n > 2 {
         let data = g.data_mut();
         data[d - 1] = f32::NEG_INFINITY;
         data[2 * d - 1] = f32::NAN;
+        data[3 * d - 1] = -0.0;
     }
     g
 }
@@ -142,11 +146,16 @@ fn running_of(bn: &BatchNorm1d) -> Vec<f32> {
     r
 }
 
-/// The fused op, through `BatchNorm1d`.
-fn bn_fused(mut bn: BatchNorm1d, x: &Tensor, g: &Tensor, mode: Mode) -> BnRun {
+/// The fused op, through `BatchNorm1d`, with the ReLU epilogue when
+/// `relu`.
+fn bn_fused(mut bn: BatchNorm1d, x: &Tensor, g: &Tensor, mode: Mode, relu: bool) -> BnRun {
     let mut tape = Tape::new();
     let xn = tape.leaf(x.clone());
-    let y = bn.forward(&mut tape, xn, mode);
+    let y = if relu {
+        bn.forward_relu(&mut tape, xn, mode)
+    } else {
+        bn.forward(&mut tape, xn, mode)
+    };
     let loss = seeded_loss(&mut tape, y, g);
     let grads = tape.backward(loss);
     let var = match mode {
@@ -168,14 +177,14 @@ fn bn_fused(mut bn: BatchNorm1d, x: &Tensor, g: &Tensor, mode: Mode) -> BnRun {
 }
 
 /// The unfused chain `BatchNorm1d` recorded before the fusion, with the
-/// same running-statistics update.
+/// same running-statistics update, then `relu` when asked.
 fn bn_chain(
     bn: &BatchNorm1d,
     x: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
+    [gamma, beta]: [&Tensor; 2],
     g: &Tensor,
     mode: Mode,
+    relu: bool,
 ) -> BnRun {
     let n = x.nrows();
     let mut tape = Tape::new();
@@ -215,6 +224,7 @@ fn bn_chain(
     let norm = tape.div(xc, std);
     let scaled = tape.mul(norm, gn);
     let y = tape.add(scaled, bn_);
+    let y = if relu { tape.relu(y) } else { y };
     let loss = seeded_loss(&mut tape, y, g);
     let grads = tape.backward(loss);
     let mut running = rm.data().to_vec();
@@ -238,33 +248,92 @@ fn assert_bn_equal(what: &str, fused: &BnRun, chain: &BnRun) {
     assert_bits(&format!("{what} running"), &fused.running, &chain.running);
 }
 
-#[test]
-fn batch_norm_equals_the_unfused_chain_bitwise() {
-    let mut rng = Rng::seed_from(71);
+/// One batch-norm case: the input, the batch that primes the running
+/// statistics, `γ`, `β` and the incoming gradient.
+struct BnCase {
+    what: String,
+    x: Tensor,
+    prime: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    g: Tensor,
+}
+
+/// The batch-norm grid: every `n × d`, plain and with special values.
+/// Column 0 has a negative `γ` and `β = −0`, so an odd `n`'s last row
+/// (deviation `+0`) normalizes to −0 in training.
+fn bn_cases(seed: u64) -> Vec<BnCase> {
+    let mut rng = Rng::seed_from(seed);
     let mut cases = Vec::new();
     for n in NS {
         for d in DS {
             for special in [false, true] {
                 let x = bn_input(n, d, special, &mut rng);
                 let prime = Tensor::randn([n.max(2), d], &mut rng).add_scalar(1.5);
-                let gamma = Tensor::rand_uniform([d], 0.5, 2.0, &mut rng);
-                let beta = Tensor::randn([d], &mut rng);
+                let mut gamma = Tensor::rand_uniform([d], 0.5, 2.0, &mut rng);
+                let mut beta = Tensor::randn([d], &mut rng);
+                gamma.data_mut()[0] *= -1.0;
+                beta.data_mut()[0] = -0.0;
                 let g = upstream(n, d, special, &mut rng);
-                cases.push((n, d, special, x, prime, gamma, beta, g));
+                let what = format!("n={n} d={d} special={special}");
+                cases.push(BnCase {
+                    what,
+                    x,
+                    prime,
+                    gamma,
+                    beta,
+                    g,
+                });
             }
         }
     }
+    cases
+}
+
+/// The fused op against the chain over the grid, both modes.
+fn check_bn_grid(seed: u64, relu: bool) {
+    let cases = bn_cases(seed);
     across_grid(|cfg| {
-        for (n, d, special, x, prime, gamma, beta, g) in &cases {
+        for c in &cases {
             for mode in [Mode::Train, Mode::Eval] {
-                let what = format!("{cfg} n={n} d={d} special={special} {mode:?}");
-                let bn = bn_module(*d, gamma, beta, Some(prime));
-                let chain = bn_chain(&bn, x, gamma, beta, g, mode);
-                let fused = bn_fused(bn, x, g, mode);
+                let what = format!("{cfg} {} {mode:?} relu={relu}", c.what);
+                let bn = bn_module(c.x.ncols(), &c.gamma, &c.beta, Some(&c.prime));
+                let chain = bn_chain(&bn, &c.x, [&c.gamma, &c.beta], &c.g, mode, relu);
+                let fused = bn_fused(bn, &c.x, &c.g, mode, relu);
                 assert_bn_equal(&what, &fused, &chain);
             }
         }
     });
+}
+
+#[test]
+fn batch_norm_equals_the_unfused_chain_bitwise() {
+    check_bn_grid(71, false);
+}
+
+#[test]
+fn batch_norm_relu_equals_batch_norm_then_relu_bitwise() {
+    check_bn_grid(79, true);
+}
+
+#[test]
+fn batch_norm_relu_meets_a_negative_zero_pre_activation() {
+    // Three rows 1, 0, −1: μ = 0, so the middle row's deviation is +0,
+    // and `(+0/σ)·(−1) + (−0)` is −0, which the ReLU maps to a zero that
+    // passes no gradient.
+    let x = Tensor::from_vec(vec![1.0, 0.0, -1.0], [3, 1]);
+    let (gamma, beta) = (
+        Tensor::from_vec(vec![-1.0], [1]),
+        Tensor::from_vec(vec![-0.0], [1]),
+    );
+    let g = Tensor::from_vec(vec![1.0, 1.0, 1.0], [3, 1]);
+    let bn = bn_module(1, &gamma, &beta, None);
+    let chain = bn_chain(&bn, &x, [&gamma, &beta], &g, Mode::Train, false);
+    assert_eq!(chain.y[1].to_bits(), (-0.0f32).to_bits());
+    let chain = bn_chain(&bn, &x, [&gamma, &beta], &g, Mode::Train, true);
+    let fused = bn_fused(bn, &x, &g, Mode::Train, true);
+    assert_bn_equal("−0 pre-activation", &fused, &chain);
+    assert_eq!(fused.y[1], 0.0);
 }
 
 #[test]
@@ -288,7 +357,7 @@ fn batch_norm_with_a_constant_input_gives_only_parameter_gradients() {
     );
     let g = upstream(9, 5, false, &mut rng);
     let bn = bn_module(5, &gamma, &beta, None);
-    let chain = bn_chain(&bn, &x, &gamma, &beta, &g, Mode::Train);
+    let chain = bn_chain(&bn, &x, [&gamma, &beta], &g, Mode::Train, false);
     let mut bn = bn;
     let mut tape = Tape::new();
     let xn = tape.constant(x.clone());
@@ -315,15 +384,34 @@ fn linear_input(n: usize, k: usize, special: bool, rng: &mut Rng) -> Tensor {
     x
 }
 
+/// How [`linear_run`] records `x·W + b`.
+#[derive(Clone, Copy, Debug)]
+enum LinearPath {
+    /// `matmul → add`.
+    Chain,
+    /// [`Tape::linear`].
+    Fused,
+    /// `linear → relu`.
+    ChainRelu,
+    /// [`Tape::linear_relu`].
+    FusedRelu,
+}
+
 /// Forward value and the gradients of `x`, `W` and `b`, concatenated.
-fn linear_run(x: &Tensor, w: &Tensor, b: &Tensor, g: &Tensor, fused: bool) -> Vec<f32> {
+fn linear_run(x: &Tensor, w: &Tensor, b: &Tensor, g: &Tensor, path: LinearPath) -> Vec<f32> {
     let mut tape = Tape::new();
     let ids = [x, w, b].map(|t| tape.leaf(t.clone()));
-    let y = if fused {
-        tape.linear(ids[0], ids[1], ids[2])
-    } else {
-        let m = tape.matmul(ids[0], ids[1]);
-        tape.add(m, ids[2])
+    let y = match path {
+        LinearPath::Chain => {
+            let m = tape.matmul(ids[0], ids[1]);
+            tape.add(m, ids[2])
+        }
+        LinearPath::Fused => tape.linear(ids[0], ids[1], ids[2]),
+        LinearPath::ChainRelu => {
+            let z = tape.linear(ids[0], ids[1], ids[2]);
+            tape.relu(z)
+        }
+        LinearPath::FusedRelu => tape.linear_relu(ids[0], ids[1], ids[2]),
     };
     let loss = seeded_loss(&mut tape, y, g);
     let grads = tape.backward(loss);
@@ -334,9 +422,9 @@ fn linear_run(x: &Tensor, w: &Tensor, b: &Tensor, g: &Tensor, fused: bool) -> Ve
     all
 }
 
-#[test]
-fn linear_equals_matmul_then_add_bitwise() {
-    let mut rng = Rng::seed_from(73);
+/// `fused` against `chain` over the linear grid.
+fn check_linear_grid(seed: u64, fused: LinearPath, chain: LinearPath) {
+    let mut rng = Rng::seed_from(seed);
     let mut cases = Vec::new();
     for n in NS {
         for (k, m) in [
@@ -358,12 +446,21 @@ fn linear_equals_matmul_then_add_bitwise() {
     }
     across_grid(|cfg| {
         for (n, k, m, special, x, w, b, g) in &cases {
-            let what = format!("{cfg} n={n} k={k} m={m} special={special}");
-            let fused = linear_run(x, w, b, g, true);
-            let chain = linear_run(x, w, b, g, false);
-            assert_bits(&what, &fused, &chain);
+            let what = format!("{cfg} n={n} k={k} m={m} special={special} {fused:?}");
+            let want = linear_run(x, w, b, g, chain);
+            assert_bits(&what, &linear_run(x, w, b, g, fused), &want);
         }
     });
+}
+
+#[test]
+fn linear_equals_matmul_then_add_bitwise() {
+    check_linear_grid(73, LinearPath::Fused, LinearPath::Chain);
+}
+
+#[test]
+fn linear_relu_equals_linear_then_relu_bitwise() {
+    check_linear_grid(80, LinearPath::FusedRelu, LinearPath::ChainRelu);
 }
 
 #[test]
