@@ -121,7 +121,16 @@ fn kill_resume_roundtrip(encoder: ConvKind, name: &str) {
 
 #[test]
 fn gin_kill_and_resume_is_bitwise_identical() {
+    // The only test here that attaches a trace sink, so no other test's
+    // `detach_all` can take it away mid-run.
+    let sink = trace::MemorySink::shared();
+    trace::attach(Box::new(sink.clone()));
     kill_resume_roundtrip(ConvKind::Gin, "gin");
+    trace::detach_all();
+    let events = sink.events();
+    for name in ["checkpoint_saved", "checkpoint_restored"] {
+        assert!(events.iter().any(|e| e.name == name), "no `{name}` event");
+    }
 }
 
 #[test]

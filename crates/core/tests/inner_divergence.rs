@@ -1,12 +1,15 @@
-//! The weight inner loop's divergence guard: an injected spike must be
-//! caught, retried and leave finite, projected weights, while a fault plan
-//! that never fires must leave the run bitwise untouched.
+//! The training guardrails: an injected inner-loop spike must be caught,
+//! retried and leave finite, projected weights; NaN-corrupted batches must
+//! be contained before any optimizer step; each intervention must reach
+//! the telemetry; and a fault plan that never fires must leave the run
+//! bitwise untouched.
 
 use datasets::triangles::{generate, TrianglesConfig};
 use gnn::encoder::ConvKind;
 use gnn::models::ModelConfig;
 use gnn::trainer::TrainConfig;
 use oodgnn_core::{FaultPlan, OodGnn, OodGnnConfig, OodGnnReport, TrainOptions};
+use std::sync::Mutex;
 use tensor::rng::Rng;
 
 /// The weight floor `GraphWeights::project` enforces.
@@ -47,18 +50,36 @@ fn run(faults: Option<FaultPlan>) -> OodGnnReport {
         .expect("training run completes")
 }
 
+/// Trace sinks are process-wide: the tests that record telemetry take
+/// turns.
+static TRACE: Mutex<()> = Mutex::new(());
+
+/// [`run`] under `faults` with an in-memory trace sink attached; also
+/// returns the names of the events the run emitted.
+fn run_traced(faults: FaultPlan) -> (OodGnnReport, Vec<String>) {
+    let _g = TRACE.lock().unwrap_or_else(|e| e.into_inner());
+    let sink = trace::MemorySink::shared();
+    trace::attach(Box::new(sink.clone()));
+    let report = run(Some(faults));
+    trace::detach_all();
+    (report, sink.events().into_iter().map(|e| e.name).collect())
+}
+
 fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
 #[test]
 fn spiked_inner_loop_retries_and_ends_with_finite_projected_weights() {
-    let report = run(Some(FaultPlan::seeded(3).with_inner_spikes(1.0)));
+    let (report, events) = run_traced(FaultPlan::seeded(3).with_inner_spikes(1.0));
     assert!(
         report.health.inner_retries > 0,
         "every batch was spiked, so the guard must retry: {:?}",
         report.health
     );
+    for name in ["fault_injected", "inner_retry"] {
+        assert!(events.iter().any(|e| e == name), "no `{name}` event");
+    }
     let w = &report.final_weights;
     assert!(!w.is_empty());
     assert!(
@@ -70,6 +91,25 @@ fn spiked_inner_loop_retries_and_ends_with_finite_projected_weights() {
     let mean = w.iter().sum::<f32>() / w.len() as f32;
     assert!((mean - 1.0).abs() < 1e-2, "mean weight {mean}");
     assert!(report.loss_curve.iter().all(|l| l.is_finite()));
+}
+
+#[test]
+fn nan_batches_are_contained_and_the_run_stays_finite() {
+    let (report, events) = run_traced(FaultPlan::seeded(11).with_nan_batches(0.4));
+    // NaN features are scrubbed by ReLU in the forward pass and resurface
+    // in the gradients (`skipped_steps`); Inf can survive to the encoded
+    // representations (`nan_batches`). Either way no optimizer step sees it.
+    assert!(
+        report.health.nan_batches + report.health.skipped_steps > 0,
+        "{:?}",
+        report.health
+    );
+    assert!(report.test_metric.is_finite(), "{}", report.test_metric);
+    assert!(report.loss_curve.iter().all(|l| l.is_finite()));
+    assert!(report.final_weights.iter().all(|w| w.is_finite()));
+    for name in ["fault_injected", "nan_detected"] {
+        assert!(events.iter().any(|e| e == name), "no `{name}` event");
+    }
 }
 
 #[test]

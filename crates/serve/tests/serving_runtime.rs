@@ -1,10 +1,14 @@
 //! End-to-end serving-runtime tests: batch-composition invariance, thread
 //! determinism, deadlines, backpressure, degraded fallback, the circuit
 //! breaker, hot reload and graceful drain — all through the public
-//! [`Server`] API, exactly as the binary drives it.
+//! [`Server`] API, exactly as the binary drives it — and the telemetry
+//! each failure path emits.
+
+mod recording;
 
 use oodgnn_core::TrainCheckpoint;
 use oodgnn_serve::{ModelSpec, Response, ServeConfig, Server, Status};
+use recording::{assert_recorded, record};
 use std::path::PathBuf;
 use std::sync::mpsc::channel;
 use std::sync::Mutex;
@@ -359,33 +363,40 @@ fn full_queue_sheds_instead_of_growing() {
     let ck = dir.join("m.oods");
     write_checkpoint(&ck, 1.0);
     let config = ServeConfig {
-        queue_capacity: 1,
+        queue_capacity: 2,
         ..ServeConfig::default()
     };
     let server = Server::start(config, vec![("default".into(), spec(), ck)]).unwrap();
+    let sink = record();
 
     server.fault_injector().inject_slow_batches(1, 200);
     let (tx, rx) = channel();
     server.submit_line(&infer_line("stall", 3, 9, Some(10_000)), &tx);
     wait_queue_empty(&server); // executor picked the stall batch up
     server.submit_line(&infer_line("a", 4, 1, Some(10_000)), &tx);
+    server.submit_line(&infer_line("late", 4, 3, Some(1)), &tx);
     server.submit_line(&infer_line("b", 4, 2, Some(10_000)), &tx);
-    let responses: Vec<Response> = (0..3)
+    server.submit_line(&infer_line("c", 4, 2, Some(10_000)), &tx);
+    // The window counts the sheds while the executor is still stalled.
+    let mid = ask(&server, r#"{"op":"stats","id":"mid"}"#);
+    assert_eq!(extra(&mid, "win_shed"), 2.0, "{:?}", mid.extra);
+    assert_eq!(extra(&mid, "queue_depth"), 2.0, "{:?}", mid.extra);
+    let responses: Vec<Response> = (0..5)
         .map(|_| rx.recv_timeout(Duration::from_secs(30)).unwrap())
         .collect();
-    let shed = by_id(&responses, "b");
-    assert_eq!(shed.status, Status::Shed);
-    assert!(shed.error.as_ref().unwrap().contains("queue full"));
+    for id in ["b", "c"] {
+        let shed = by_id(&responses, id);
+        assert_eq!(shed.status, Status::Shed);
+        assert!(shed.error.as_ref().unwrap().contains("queue full"));
+    }
     assert_eq!(by_id(&responses, "a").status, Status::Ok);
-    assert!(
-        server
-            .stats()
-            .shed
-            .load(std::sync::atomic::Ordering::Relaxed)
-            >= 1
-    );
+    assert_eq!(by_id(&responses, "late").status, Status::Timeout);
+    let count = |a: &std::sync::atomic::AtomicU64| a.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(count(&server.stats().shed), 2);
+    assert_eq!(count(&server.stats().timeouts), 1);
 
     server.shutdown();
+    assert_recorded(&sink, &["serve/shed", "serve/timeout"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -405,6 +416,7 @@ fn hot_reload_swaps_version_without_dropping_in_flight() {
 
     let baseline = ask(&server, &infer_line("base", 4, 3, None));
     assert_eq!(baseline.model_version, Some(1));
+    let sink = record();
 
     // Queue: [stall, pre, reload, post] — the reload marker bounds the
     // batch, so `pre` must be served by v1 and `post` by v2.
@@ -439,6 +451,7 @@ fn hot_reload_swaps_version_without_dropping_in_flight() {
     );
 
     server.shutdown();
+    assert_recorded(&sink, &[trace::names::MODEL_RELOAD]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -458,6 +471,7 @@ fn corrupt_checkpoint_reload_keeps_the_old_version_serving() {
     let server =
         Server::start(ServeConfig::default(), vec![("default".into(), spec(), ck)]).unwrap();
     let baseline = ask(&server, &infer_line("base", 4, 5, None));
+    let sink = record();
 
     let reload = ask(
         &server,
@@ -491,6 +505,7 @@ fn corrupt_checkpoint_reload_keeps_the_old_version_serving() {
     );
 
     server.shutdown();
+    assert_recorded(&sink, &["model_reload_failed"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -508,12 +523,14 @@ fn nan_outputs_degrade_then_breaker_opens_and_recovers() {
     };
     let server = Server::start(config, vec![("default".into(), spec(), ck)]).unwrap();
     let baseline = ask(&server, &infer_line("base", 4, 2, None));
+    let sink = record();
 
     server.fault_injector().inject_nan_batches(2);
     let uniform = vec![(1.0f32 / CLASSES as f32).to_bits(); CLASSES];
     for i in 0..2 {
         let r = ask(&server, &infer_line(&format!("bad{i}"), 4, 2, None));
         assert_eq!(r.status, Status::Degraded, "{:?}", r.error);
+        assert!(!r.error.as_ref().unwrap().contains("breaker"), "{r:?}");
         assert_eq!(bits(r.outputs.as_ref().unwrap()), uniform);
     }
     // Threshold reached: the next two batches are served by the open
@@ -534,15 +551,16 @@ fn nan_outputs_degrade_then_breaker_opens_and_recovers() {
         bits(back.outputs.as_ref().unwrap()),
         bits(baseline.outputs.as_ref().unwrap())
     );
-    assert!(
+    assert_eq!(
         server
             .stats()
             .degraded
-            .load(std::sync::atomic::Ordering::Relaxed)
-            >= 4
+            .load(std::sync::atomic::Ordering::Relaxed),
+        4
     );
 
     server.shutdown();
+    assert_recorded(&sink, &["serve/degraded", "serve_breaker_open"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 

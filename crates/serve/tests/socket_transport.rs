@@ -8,8 +8,11 @@
 //! a half-closed client still gets every reply, and shutdown wakes the
 //! blocking accept.
 
+mod recording;
+
 use oodgnn_core::TrainCheckpoint;
 use oodgnn_serve::{ModelSpec, ServeConfig, Server, Status, Transport, TransportConfig};
+use recording::{assert_recorded, record};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
@@ -249,6 +252,11 @@ fn four_clients_interleaved_match_serial_replay_bitwise() {
         s.conn_close.load(Ordering::Relaxed)
     });
     transport.shutdown();
+    let stats = server.stats();
+    assert_eq!(stats.conn_close.load(Ordering::Relaxed), CLIENTS as u64);
+    assert_eq!(stats.open_conns.load(Ordering::Relaxed), 0);
+    assert_eq!(stats.conn_shed.load(Ordering::Relaxed), 0);
+    assert_eq!(stats.slow_client_drops.load(Ordering::Relaxed), 0);
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -276,6 +284,7 @@ fn abrupt_disconnect_mid_batch_never_panics_the_executor() {
     // routing, and the connection close is recorded.
     wait_counter(&server, 3, |s| s.ok.load(Ordering::Relaxed));
     wait_counter(&server, 1, |s| s.conn_close.load(Ordering::Relaxed));
+    assert_eq!(server.stats().conn_close.load(Ordering::Relaxed), 1);
     assert_eq!(server.stats().inflight.load(Ordering::Relaxed), 0);
 
     // A fresh client still gets served, bitwise-identically to the
@@ -305,6 +314,7 @@ fn abrupt_disconnect_mid_batch_never_panics_the_executor() {
 fn slow_reader_overflow_disconnects_only_that_client() {
     let _g = lock();
     let (server, dir, _ck) = start_server("slow");
+    let sink = record();
     let config = TransportConfig {
         outbound_capacity: 2,
         ..TransportConfig::default()
@@ -317,13 +327,13 @@ fn slow_reader_overflow_disconnects_only_that_client() {
     let mut good_reader = BufReader::new(good);
 
     // The slow client pipelines requests without ever reading: its
-    // 2-deep outbound queue overflows and the server drops it.
+    // 2-deep outbound queue overflows and the server drops it. Admission
+    // answers each malformed line inline on the reader thread, so the
+    // replies are pushed back to back with no executor round trip and
+    // outrun the writer however the batches are timed.
     let mut slow = connect(&transport);
-    for g in 0..32 {
-        if writeln!(slow, "{}", infer_line(&format!("slow{g}"), 3, g)).is_err() {
-            break; // Server already hung up on us mid-burst.
-        }
-    }
+    // The server may hang up on us mid-burst.
+    let _ = slow.write_all("x\n".repeat(4000).as_bytes());
     wait_counter(&server, 1, |s| s.slow_client_drops.load(Ordering::Relaxed));
     assert_eq!(
         server.stats().slow_client_drops.load(Ordering::Relaxed),
@@ -332,10 +342,10 @@ fn slow_reader_overflow_disconnects_only_that_client() {
     );
     // The dropped socket reaches EOF/reset once the queues flush.
     let mut slow_reader = BufReader::new(slow);
-    let mut sink = String::new();
+    let mut line = String::new();
     loop {
-        sink.clear();
-        match slow_reader.read_line(&mut sink) {
+        line.clear();
+        match slow_reader.read_line(&mut line) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
@@ -357,6 +367,7 @@ fn slow_reader_overflow_disconnects_only_that_client() {
     assert_eq!(field_bits(&pairs, "outputs").unwrap(), serial_bits);
     transport.shutdown();
     server.shutdown();
+    assert_recorded(&sink, &["serve/slow_client_drops"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -364,6 +375,7 @@ fn slow_reader_overflow_disconnects_only_that_client() {
 fn connection_limit_sheds_with_a_structured_reply() {
     let _g = lock();
     let (server, dir, _ck) = start_server("limit");
+    let sink = record();
     let config = TransportConfig {
         max_conns: 1,
         ..TransportConfig::default()
@@ -393,6 +405,7 @@ fn connection_limit_sheds_with_a_structured_reply() {
         "socket closes after the shed reply"
     );
     assert_eq!(server.stats().conn_shed.load(Ordering::Relaxed), 1);
+    assert_eq!(server.stats().conn_open.load(Ordering::Relaxed), 1);
 
     // The admitted connection keeps serving.
     writeln!(keeper_writer, "{}", infer_line("still", 3, 1)).unwrap();
@@ -400,6 +413,15 @@ fn connection_limit_sheds_with_a_structured_reply() {
     assert_eq!(field_str(&pairs, "status").as_deref(), Some("ok"));
     transport.shutdown();
     server.shutdown();
+    assert_recorded(
+        &sink,
+        &[
+            trace::names::SERVE_CONN_OPEN,
+            trace::names::SERVE_CONN_SHED,
+            "serve/conn_open",
+            "serve/conn_shed",
+        ],
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
